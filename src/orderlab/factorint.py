@@ -1,9 +1,12 @@
 """Desk-scale integer factorization for verification and ground truth.
 
-Trial division, Miller-Rabin, and Brent-cycle rho.  Sized for the
-moduli the laboratory actually factors (order candidates and test
-semiprimes up to a hundred bits or so); a work budget turns pathological
-inputs into a distinct timeout instead of silent failure.
+Trial division by the primes below 2**10, Miller-Rabin, and Brent-cycle
+rho.  Sized for the moduli the laboratory actually factors (order
+candidates and test semiprimes up to a hundred bits or so): factors
+above the trial-division table are left to rho, and primality is
+decided by a base set that is exact at these sizes.  A work budget
+turns pathological inputs into a distinct timeout instead of silent
+failure.
 """
 
 from __future__ import annotations
@@ -11,7 +14,14 @@ from __future__ import annotations
 import math
 import random
 
-_SMALL_PRIME_LIMIT = 10 ** 6
+from .recovery import primes_up_to
+
+_TRIAL_LIMIT = 1 << 10
+_SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT - 1))
+# Miller-Rabin on the first 13 primes is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = _SMALL_PRIMES[:13]  # 2 .. 41
+_MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 _DEFAULT_RHO_BUDGET = 1 << 24
 
 
@@ -20,22 +30,27 @@ class FactorizationTimeout(RuntimeError):
 
 
 def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin with the given number of bases.
+    """Miller-Rabin primality test.
 
-    Bases are drawn from a stream seeded by n itself, so verdicts are
-    deterministic per input.
+    Below 3,317,044,064,679,887,385,961,981 the bases are the 13 primes
+    2 .. 41, which make the verdict exact there.  From that bound up,
+    `rounds` bases are drawn from a stream seeded by n itself, so
+    verdicts are deterministic per input.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    rng = random.Random(n ^ 0x9E3779B97F4A7C15)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
+    if n < _MR_EXACT_LIMIT:
+        bases = _MR_BASES
+    else:
+        rng = random.Random(n ^ 0x9E3779B97F4A7C15)
+        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -62,11 +77,28 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
+def _prime_exponents(limit: int):
+    """The primes k <= limit, in increasing order."""
+    for k in _SMALL_PRIMES:
+        if k > limit:
+            return
+        yield k
+    # the table suffices for every n below 2**1024; beyond it, trial
+    # division by the table is exact for the k below 1031**2
+    for k in range(_TRIAL_LIMIT + 1, limit + 1, 2):
+        if all(k % p for p in _SMALL_PRIMES):
+            yield k
+
+
 def perfect_power(n: int) -> tuple[int, int] | None:
-    """(base, k) with base**k == n and k >= 2, or None."""
+    """(base, k) with base**k == n and k >= 2 least, or None.
+
+    Only prime k are tried: when n = b**k for a composite k = k1 * k2,
+    then also n = (b**k2)**k1, so the least k is always prime.
+    """
     if n < 4:
         return None
-    for k in range(2, n.bit_length() + 1):
+    for k in _prime_exponents(n.bit_length()):
         b = iroot(n, k)
         if b < 2:
             break
@@ -114,26 +146,20 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int | None:
 def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
     """Complete factorization {prime: exponent}.
 
-    Trial division below 1e6, then recursive Brent rho with Miller-Rabin
-    certification.  Raises FactorizationTimeout when the rho budget runs
-    out, which callers report distinctly from a wrong-order verdict.
+    Trial division by the primes below 2**10, then recursive Brent rho
+    with Miller-Rabin certification on the cofactor.  Raises
+    FactorizationTimeout when the rho budget runs out, which callers
+    report distinctly from a wrong-order verdict.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and p < _SMALL_PRIME_LIMIT:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += wheel[i]
-        i = (i + 1) % 8
     if n == 1:
         return out
     if p * p > n:

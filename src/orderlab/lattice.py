@@ -118,8 +118,8 @@ def solve_shortest(j: int, params: Params) -> int:
 class EnumerationResult:
     """Candidates from enumerating short vectors around a reduced basis.
 
-    coeffs lists every visited vector as (m1, m2, w) with
-    w = m1 s1 + m2 s2; candidates keeps first-seen order, deduplicated.
+    candidates keeps first-seen order, deduplicated; visited counts the
+    vectors w = m1 s1 + m2 s2 tried inside the circle.
     case 1 means the single reduced vector already decided the answer.
     """
 
@@ -127,7 +127,6 @@ class EnumerationResult:
     visited: int
     case: int
     budget: int
-    coeffs: list[tuple[int, int, Vec]]
 
 
 def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> EnumerationResult:
@@ -157,7 +156,6 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
             visited=1,
             case=1,
             budget=budget,
-            coeffs=[(1, 0, rb.s1)],
         )
 
     Bc = dot4(rb.s1, rb.s2)
@@ -167,7 +165,6 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
     m2_max = math.isqrt(((A << (2 * m - 1)) - 1) >> (2 * params.n))
     candidates: list[int] = []
     seen: set[int] = set()
-    coeffs: list[tuple[int, int, Vec]] = []
     visited = 0
     for m2 in range(-m2_max, m2_max + 1):
         c = -Bc * m2
@@ -191,14 +188,13 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
                 raise EnumerationBudgetExceeded(
                     f"enumeration for j={j} exceeded {budget} vectors"
                 )
-            coeffs.append((m1, m2, w))
             if w.y2 == 0 or w.y2 >= x_cap or 2 * abs(w.x) >= x_cap:
                 continue
             if w.y2 not in seen:
                 seen.add(w.y2)
                 candidates.append(w.y2)
     return EnumerationResult(
-        candidates=candidates, visited=visited, case=2, budget=budget, coeffs=coeffs
+        candidates=candidates, visited=visited, case=2, budget=budget
     )
 
 

@@ -17,6 +17,7 @@ Failures carry one of four reasons:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,6 +93,16 @@ def _candidates_for(j: int, params: Params, config: RunConfig) -> list[int]:
     return out
 
 
+@functools.cache
+def _smoothness_context(c: float, m: int) -> recovery.SmoothnessContext:
+    """The smoothness context of (c, m), built once and then shared.
+
+    A miss looks up `recovery` at call time, so a wrapper installed on
+    this module's `recovery` name sees every real build.
+    """
+    return recovery.SmoothnessContext.build(c, m)
+
+
 def run_once(
     group,
     g,
@@ -132,7 +143,7 @@ def run_once(
         return RunOutcome(
             False, None, "no_candidate", drawn.z, drawn.t, drawn.j, 0
         )
-    ctx = recovery.SmoothnessContext.build(config.c, config.m)
+    ctx = _smoothness_context(config.c, config.m)
     solve = recovery.solve_candidate_set(
         group, g, in_range, ctx, algorithm=config.recovery, meter=meter
     )
@@ -325,16 +336,13 @@ def report_to_csv(report: MonteCarloReport) -> str:
 
 
 def true_order(N: int, g: int) -> int:
-    """Ground-truth multiplicative order of g mod N, by factoring.
+    """Ground-truth multiplicative order of g mod an odd N, by factoring.
 
     Simulation harness only: the measurement sampler needs the real
     order, which at laboratory scale is obtained classically.  The
     post-processing pipeline never sees this value.
     """
-    factors = factorize(N)
-    lam = 1
-    for p, e in factors.items():
-        lam = math.lcm(lam, p ** (e - 1) * (p - 1))
+    lam = bounds.carmichael_value(factorize(N))
     order = lam
     for q in factorize(lam):
         while order % q == 0 and pow(g, order // q, N) == 1:

@@ -16,6 +16,8 @@ with; the budgets hold for every run, not just asymptotically.
 from __future__ import annotations
 
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,14 +39,15 @@ class SmoothnessContext:
     """Primes q <= c*m with their capped exponents e_q = floor(log_q(c*m)).
 
     smooth_exponent is the product of all q**e_q: the largest integer
-    whose prime powers all stay within the smoothness bound.
+    whose prime powers all stay within the smoothness bound.  Contexts
+    are shared between runs, so exponents is a read-only mapping.
     """
 
     c: float
     m: int
     cm_floor: int
     primes: tuple[int, ...]
-    exponents: dict[int, int]
+    exponents: Mapping[int, int]
     smooth_exponent: int
 
     @classmethod
@@ -69,7 +72,7 @@ class SmoothnessContext:
             m=m,
             cm_floor=cm_floor,
             primes=primes,
-            exponents=exponents,
+            exponents=types.MappingProxyType(exponents),
             smooth_exponent=smooth,
         )
 

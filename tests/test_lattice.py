@@ -163,17 +163,6 @@ class TestEnumeration:
                     res = enumerate_candidates(peak(z, p).j0 % p.two_n, p)
                     assert r // math.gcd(r, z) in res.candidates
 
-    def test_coeffs_reproduce_vectors(self):
-        p = Params(r=33, m=8, ell=4)
-        j = peak(7, p).j0 % p.two_n
-        res = enumerate_candidates(j, p)
-        rb = lagrange_reduce(j, p)
-        for m1, m2, w in res.coeffs:
-            assert w == Vec(
-                m1 * rb.s1.x + m2 * rb.s2.x, m1 * rb.s1.y2 + m2 * rb.s2.y2
-            )
-            assert norm4(w) < 1 << (2 * p.m + 1)
-
 
 class TestOffsetRange:
     def test_matches_cold_reductions(self):

@@ -37,7 +37,7 @@ class TestRoundHalfUp:
     @given(st.fractions(min_value=-1000, max_value=1000))
     def test_distance_at_most_half(self, x):
         j = round_half_up(x)
-        delta = x - j
+        delta = j - x  # ties round up, so delta = +1/2 at a tie
         assert Fraction(-1, 2) < delta <= Fraction(1, 2)
 
 

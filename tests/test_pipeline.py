@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,27 @@ class TestRunOnce:
         out = run_once(group, group.generator(), 20, cfg, Rng(1))
         assert not out.success
         assert out.reason == "budget"
+
+    def test_smoothness_context_built_once_per_c_m(self, monkeypatch):
+        import orderlab.pipeline as pipeline_mod
+        from orderlab.recovery import SmoothnessContext
+
+        builds = []
+        real_build = SmoothnessContext.build
+
+        def counting_build(c, m):
+            builds.append((c, m))
+            return real_build(c, m)
+
+        monkeypatch.setattr(SmoothnessContext, "build", staticmethod(counting_build))
+        pipeline_mod._smoothness_context.cache_clear()
+        group = SimulatedGroup(210)
+        cfg = RunConfig(m=8, ell=8, B=2, c=10.0)
+        outs = [run_once(group, group.generator(), 210, cfg, Rng(s)) for s in range(30)]
+        assert sum(out.exponent_bits > 0 for out in outs) >= 10  # reached recovery
+        assert builds == [(10.0, 8)]
+        run_once(group, group.generator(), 210, RunConfig(m=8, ell=8, B=2, c=5.0), Rng(3))
+        assert builds == [(10.0, 8), (5.0, 8)]
 
     def test_reasons_are_catalogued(self):
         assert set(FAILURE_REASONS) == {"tail", "no_candidate", "unsmooth_d", "budget"}
@@ -244,6 +266,36 @@ class TestTrueOrder:
             y = (y * g) % N
             k += 1
         assert got == k
+
+    def test_minimal_on_48_bit_semiprimes(self):
+        def prime_factors(n):
+            out, f = set(), 2
+            while f * f <= n:
+                while n % f == 0:
+                    out.add(f)
+                    n //= f
+                f += 1
+            return out | ({n} if n > 1 else set())
+
+        def prime_24_bit():
+            while True:
+                p = rnd.getrandbits(24) | (1 << 23) | 1
+                if prime_factors(p) == {p}:
+                    return p
+
+        rnd = random.Random(48)
+        for _ in range(6):
+            p, q = prime_24_bit(), prime_24_bit()
+            N = p * q
+            g = rnd.randrange(2, N - 1)
+            if p == q or math.gcd(g, N) != 1:
+                continue
+            r = true_order(N, g)
+            assert math.lcm(p - 1, q - 1) % r == 0
+            assert pow(g, r, N) == 1
+            for f in prime_factors(p - 1) | prime_factors(q - 1):
+                if r % f == 0:
+                    assert pow(g, r // f, N) != 1
 
     def test_register_split(self):
         for N in (15, 21, 1023, 2 ** 48 - 1, 10 ** 12 + 39):

@@ -47,6 +47,12 @@ class TestSmoothnessContext:
         assert ctx.smooth_exponent == 12
         assert ctx.exponent_bits == 2
 
+    def test_exponents_read_only(self):
+        ctx = SmoothnessContext.build(1, 4)
+        with pytest.raises(TypeError):
+            ctx.exponents[2] = 3
+        assert ctx.exponents == {2: 2, 3: 1}
+
     def test_caps_are_tight(self):
         for c, m in ((1, 4), (2, 2), (1.5, 7), (5, 12), (10, 128)):
             ctx = SmoothnessContext.build(c, m)
