@@ -14,9 +14,20 @@ the formulas stay accurate for register widths in the hundreds of bits.
 
 Two evaluation routes are provided on purpose: `prob` (arbitrary
 precision, one argument at a time) and `prob_array`/`full_distribution`
-(vectorized 80-bit floats, small registers only).  `prob_bruteforce`
-evaluates the defining double sum term by term and exists purely as an
-oracle to check the closed form against.
+(vectorized 80-bit floats, small registers only).  The vectorized route
+reads its sines from one table of sin^2(pi k / 2**n), k in [0, 2**(n-1)],
+whose entries are the same long-double expression as a per-entry
+evaluation, so its output does not depend on the table.
+
+`prob_bruteforce` and `bruteforce_distribution` evaluate the defining
+double sum term by term and exist purely as oracles to check the closed
+form against.  The bulk one reads its terms from a cos/sin table of the
+unit circle built from a quarter wave, and shares neither table nor
+formula with the closed form.
+
+Since alpha = r j mod 2**n repeats with period 2**n >> v in j, where
+2**v is the largest power of two dividing r, both bulk functions
+evaluate one period and tile it.
 """
 
 from __future__ import annotations
@@ -34,6 +45,11 @@ from .model import Params, Rng, derive, peak
 # Vectorized paths accumulate up to 2**n terms in 80-bit floats; past
 # this width they would be both slow and inaccurate.
 _VECTOR_WIDTH_LIMIT = 24
+
+# Most entries bruteforce_distribution gathers at once (whole rows of
+# L+1 terms, at least one): about 1 MB per 80-bit temporary, however
+# many rows that is, so memory does not grow with the row count.
+_GATHER_ELEMENTS = 1 << 16
 
 _PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
@@ -151,41 +167,72 @@ def prob_bruteforce(j: int, params: Params) -> np.longdouble:
     return s2.sum() / (np.longdouble(N) * np.longdouble(N))
 
 
-def bruteforce_distribution(params: Params, block: int = 1 << 12) -> np.ndarray:
+def bruteforce_distribution(params: Params) -> np.ndarray:
     """Defining double sum for every frequency at once.
 
     Same term-by-term evaluation as prob_bruteforce, restructured for
-    bulk use: the inner geometric sums share one table of the 2**n
-    distinct term values, rows are gathered per frequency, and the two
-    inner-sum lengths L and L+1 that occur across residue classes are
-    read off one row sum.  No closed form is involved, so the output is
-    an independent oracle for prob_array / full_distribution.
+    bulk use.  Entry j depends on j only through alpha = r j mod 2**n.
+    With 2**v the largest power of two dividing r, alpha is 2**v times
+    r' j mod M, where r' = r >> v is odd and M = 2**n >> v, so one
+    period of M frequencies is summed and tiled, and every term
+    e^(2 pi i alpha b / 2**n) is a power of e^(2 pi i / M).  Those M
+    values come from one table, built from sin over a quarter wave by
+    the exact symmetries of sin and cos.  Rows of term indices are
+    gathered from it in blocks of at most _GATHER_ELEMENTS entries (a
+    row is never split).  The two inner-sum lengths L and L+1 that
+    occur across residue classes are read off as the sum of the first L
+    columns and that sum plus the last column.  Every term is still
+    added one at a time, and no closed form, geometric-sum identity or
+    symmetry of the distribution is used, so the output is an
+    independent oracle for prob_array / full_distribution.
     """
     _require_vector_width(params)
     N = params.two_n
     r = params.r
     d = derive(params)
-    k = np.arange(N, dtype=np.int64)
-    angle = (2 * _PI_LD / np.longdouble(N)) * k.astype(np.longdouble)
-    cos_table = np.cos(angle)
-    sin_table = np.sin(angle)
+    v = _two_adic_valuation(r)
+    period = N >> v
+    cos_table, sin_table = _unit_circle_tables(period)
+    alpha = ((r >> v) * np.arange(period, dtype=np.int64)) % period
     b = np.arange(d.L + 1, dtype=np.int64)
-    out = np.empty(N, dtype=np.longdouble)
+    rows = max(1, _GATHER_ELEMENTS // (d.L + 1))
+    out = np.empty(period, dtype=np.longdouble)
     NN = np.longdouble(N) * np.longdouble(N)
-    for lo in range(0, N, block):
-        j = np.arange(lo, min(N, lo + block), dtype=np.int64)
-        theta = ((j * r) % N)[:, None] * b[None, :] % N
-        cre = cos_table[theta]
-        cim = sin_table[theta]
-        c_hi = cre.sum(axis=1)
-        s_hi = cim.sum(axis=1)
-        c_lo = c_hi - cre[:, -1]
-        s_lo = s_hi - cim[:, -1]
-        out[lo : lo + len(j)] = (
+    for lo in range(0, period, rows):
+        theta = (alpha[lo : lo + rows, None] * b[None, :]) & (period - 1)
+        cre = np.take(cos_table, theta)
+        cim = np.take(sin_table, theta)
+        c_lo = cre[:, :-1].sum(axis=1)
+        s_lo = cim[:, :-1].sum(axis=1)
+        c_hi = c_lo + cre[:, -1]
+        s_hi = s_lo + cim[:, -1]
+        out[lo : lo + len(theta)] = (
             d.beta * (c_hi * c_hi + s_hi * s_hi)
             + (r - d.beta) * (c_lo * c_lo + s_lo * s_lo)
         ) / NN
-    return out
+    return np.tile(out, N // period)
+
+
+def _two_adic_valuation(r: int) -> int:
+    """Exponent of the largest power of two dividing r > 0."""
+    return (r & -r).bit_length() - 1
+
+
+def _unit_circle_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2 pi k / N) and sin(2 pi k / N) for k in [0, N), N = 2**n >= 4.
+
+    sin is evaluated for k in [0, N/4] only.  sin(pi - x) = sin(x)
+    mirrors it onto [N/4, N/2], sin(x + pi) = -sin(x) gives the second
+    half-turn, and cos(x) = sin(x + pi/2) is the sin table rotated by
+    N/4.  Each entry is therefore one long-double sin of an angle at
+    most pi/2, and the zeros at multiples of pi/2 are exact.
+    """
+    q = N // 4
+    angle = (2 * _PI_LD / np.longdouble(N)) * np.arange(q + 1).astype(np.longdouble)
+    quarter = np.sin(angle)
+    half = np.concatenate((quarter, quarter[-2:0:-1]))
+    sin_table = np.concatenate((half, -half))
+    return np.roll(sin_table, -q), sin_table
 
 
 def _sin2_pi_ratio_ld(k: np.ndarray, denom: int) -> np.ndarray:
@@ -200,7 +247,15 @@ def prob_array(alphas: np.ndarray, params: Params) -> np.ndarray:
     """Closed-form probabilities for an array of signed arguments.
 
     80-bit float fast path for bulk scans on small registers; agrees
-    with `prob` to ~1e-17 relative (checked by tests).
+    with `prob` to ~1e-17 relative (checked by tests).  The three sines
+    of each entry are gathered through the exact fold min(k, 2**n - k)
+    from one table of sin^2(pi k / 2**n) over k in [0, 2**(n-1)],
+    restricted to the multiples of the largest power of two dividing
+    2**n and every argument (no other index occurs).  Each table entry
+    is the expression a per-entry evaluation would compute, so the
+    result is bit-identical to three sin calls per entry.  The table
+    costs up to 2**(n-1) sin calls whatever the number of arguments, so
+    this path is meant for arrays of comparable length.
     """
     _require_vector_width(params)
     N = params.two_n
@@ -208,9 +263,17 @@ def prob_array(alphas: np.ndarray, params: Params) -> np.ndarray:
     d = derive(params)
     a = np.asarray(alphas, dtype=np.int64) % N
     nz = a != 0
-    s_hi = _sin2_pi_ratio_ld((a * (d.L + 1)) % N, N)
-    s_lo = _sin2_pi_ratio_ld((a * d.L) % N, N)
-    s_den = _sin2_pi_ratio_ld(a, N)
+    # Every sine index is a multiple of `step`, the largest power of two
+    # dividing N and all arguments, so the table holds those multiples only.
+    step = 1 << _two_adic_valuation(int(np.bitwise_or.reduce(a, axis=None)) | N)
+    table = _sin2_pi_ratio_ld(np.arange(0, N // 2 + 1, step, dtype=np.int64), N)
+
+    def sin2(k):
+        return table[np.minimum(k, N - k) // step]
+
+    s_hi = sin2((a * (d.L + 1)) % N)
+    s_lo = sin2((a * d.L) % N)
+    s_den = sin2(a)
     out = np.empty(a.shape, dtype=np.longdouble)
     NN = np.longdouble(N) * np.longdouble(N)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,12 +287,16 @@ def prob_array(alphas: np.ndarray, params: Params) -> np.ndarray:
 def full_distribution(params: Params) -> np.ndarray:
     """Exact distribution over all frequencies j in [0, 2**n).
 
-    Entry j equals prob({r j} mod 2**n).  Small registers only.
+    Entry j equals prob({r j} mod 2**n).  The argument r j mod 2**n has
+    period 2**n >> v in j (2**v the largest power of two dividing r), so
+    prob_array evaluates one period and the result is that period tiled.
+    Small registers only.
     """
     _require_vector_width(params)
     N = params.two_n
-    j = np.arange(N, dtype=np.int64)
-    return prob_array((params.r * j) % N, params)
+    period = N >> _two_adic_valuation(params.r)
+    j = np.arange(period, dtype=np.int64)
+    return np.tile(prob_array((params.r * j) % N, params), N // period)
 
 
 def window_mass(z: int, params: Params, B: int, prec: int | None = None) -> mpmath.mpf:
@@ -244,15 +311,6 @@ def window_mass(z: int, params: Params, B: int, prec: int | None = None) -> mpma
         return mpmath.fsum(
             prob(pk.alpha0 + params.r * t, params, prec) for t in range(-B, B + 1)
         )
-
-
-def window_mass_fast(z: int, params: Params, B: int) -> np.longdouble:
-    """80-bit float version of window_mass for bulk scans."""
-    if B < 1 or params.r * (2 * B + 1) >= params.two_n:
-        raise ValueError(f"window B={B} must satisfy 1 <= B < B_max")
-    pk = peak(z, params)
-    t = np.arange(-B, B + 1, dtype=np.int64)
-    return prob_array(pk.alpha0 + params.r * t, params).sum()
 
 
 @dataclass(frozen=True)
@@ -323,10 +381,3 @@ class Sampler:
             t = self._offset(i)
             j = (peak(z, params).j0 + t) % params.two_n
             return SampleResult(z=z, t=t, j=j, tail=False)
-
-
-def sample_frequency(
-    params: Params, rng: Rng, t_max: int = 2 ** 24, prec: int | None = None
-) -> SampleResult:
-    """One-shot convenience wrapper around Sampler."""
-    return Sampler(params, t_max=t_max, prec=prec).sample(rng)

@@ -18,10 +18,9 @@ from orderlab.distribution import (
     prob_array,
     prob_bruteforce,
     prob_zero,
-    sample_frequency,
     window_mass,
-    window_mass_fast,
 )
+from orderlab.distribution import _unit_circle_tables
 from orderlab.model import Params, Rng, derive, frequency_argument, peak
 
 
@@ -105,6 +104,69 @@ class TestSymmetryAndArray:
         prob(-(p.two_n // 2), p)  # -N/2 is inside
 
 
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def closed_form_three_sines(p):
+    """Per-entry closed form with three long-double sines per frequency."""
+    N = p.two_n
+    d = derive(p)
+    def sin2(k):
+        k = np.minimum(k, N - k)
+        s = np.sin(PI_LD * (k.astype(np.longdouble) / np.longdouble(N)))
+        return s * s
+
+    a = (p.r * np.arange(N, dtype=np.int64)) % N
+    nz = a != 0
+    s_hi = sin2((a * (d.L + 1)) % N)
+    s_lo = sin2((a * d.L) % N)
+    s_den = sin2(a)
+    out = np.empty(N, dtype=np.longdouble)
+    NN = np.longdouble(N) * np.longdouble(N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[nz] = (d.beta * s_hi[nz] + (p.r - d.beta) * s_lo[nz]) / (s_den[nz] * NN)
+    p0 = prob_zero(p)
+    out[~nz] = np.longdouble(p0.numerator) / np.longdouble(p0.denominator)
+    return out
+
+
+# r with 2-adic valuation from 0 up to m - 1, at n = 3 and n = 13
+TABLE_GEOMETRIES = [(2, 2, 1), (3, 2, 1)] + [
+    (r, 8, 5) for r in (3, 4, 6, 8, 12, 48, 64, 96, 128)
+]
+
+
+class TestTablesAndPeriod:
+    @pytest.mark.parametrize("r,m,ell", TABLE_GEOMETRIES)
+    def test_full_distribution_bit_identical_to_three_sines(self, r, m, ell):
+        p = Params(r=r, m=m, ell=ell)
+        assert np.array_equal(full_distribution(p), closed_form_three_sines(p))
+
+    @pytest.mark.parametrize("r", [2, 4, 8, 16, 24, 48, 64, 96])
+    def test_bruteforce_high_valuation_matches_per_frequency(self, r):
+        p = Params(r=r, m=7, ell=4)
+        dist = bruteforce_distribution(p)
+        for j in range(0, p.two_n, 7):
+            assert rel_close(dist[j], prob_bruteforce(j, p), 1e-15, 2.0 ** (-2 * p.n))
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_quarter_wave_tables_match_direct(self, n):
+        N = 1 << n
+        cos_table, sin_table = _unit_circle_tables(N)
+        angle = (2 * PI_LD / np.longdouble(N)) * np.arange(N).astype(np.longdouble)
+        assert np.max(np.abs(cos_table - np.cos(angle))) <= 1e-18
+        assert np.max(np.abs(sin_table - np.sin(angle))) <= 1e-18
+
+    @pytest.mark.parametrize("r,m,ell", TABLE_GEOMETRIES)
+    def test_distributions_repeat_with_period(self, r, m, ell):
+        p = Params(r=r, m=m, ell=ell)
+        v = (r & -r).bit_length() - 1
+        period = p.two_n >> v
+        for dist in (full_distribution(p), bruteforce_distribution(p)):
+            assert dist.shape == (p.two_n,)
+            assert np.array_equal(dist[period:], dist[:-period])
+
+
 class TestApproximations:
     def test_approx_prob_formula(self):
         p = Params(r=13, m=4, ell=4)
@@ -148,11 +210,6 @@ class TestWindowMass:
                 )
             assert rel_close(window_mass(z, p, B), want, 1e-20)
 
-    def test_fast_variant_close(self):
-        p = Params(r=23, m=5, ell=5)
-        for z in (0, 1, 11, 22):
-            assert rel_close(window_mass(z, p, 4), window_mass_fast(z, p, 4), 1e-12)
-
     def test_windows_cover_at_most_everything(self):
         p = Params(r=7, m=3, ell=4)
         d = derive(p)
@@ -173,10 +230,6 @@ class TestSampler:
         draws1 = [s1.sample(Rng(900 + i)) for i in range(30)]
         draws2 = [s2.sample(Rng(900 + i)) for i in range(30)]
         assert draws1 == draws2
-
-    def test_one_shot_matches_sampler(self):
-        p = Params(r=7, m=3, ell=5)
-        assert sample_frequency(p, Rng(4)) == Sampler(p).sample(Rng(4))
 
     def test_draws_are_valid(self):
         p = Params(r=12, m=4, ell=4)
