@@ -9,6 +9,14 @@ Vectors carry half-integer second coordinates, so they are stored with
 the second coordinate doubled: Vec(x, y2) means the point (x, y2/2).
 Squared norms are then (4 x^2 + y2^2)/4, and all comparisons below use
 the integer quantity norm4 = 4 x^2 + y2^2.  Everything is exact.
+
+The enumeration counts each row m2 of w = m1 s1 + m2 s2 in closed form:
+with A = norm4(s1) the Gram determinant 2**(2n+2) gives
+A norm4(w) = (A m1 + m2 dot4(s1, s2))**2 + 2**(2n+2) m2**2, so a row
+meets the circle in one interval of m1, clipped by the half plane and
+the coordinate box.  Candidates need no deduplication: two box vectors
+with the same w_2 would differ by a nonzero multiple of (2**n, 0),
+longer than the box is wide (2**m, and n >= m + 1).
 """
 
 from __future__ import annotations
@@ -52,14 +60,12 @@ class ReducedBasis:
     """Lagrange-reduced basis with its expression in the original basis.
 
     s1 is the shorter vector; multiples has determinant +-1 and satisfies
-    s_i = multiples[i][0] * b1 + multiples[i][1] * b2.  swap_steps counts
-    the swaps the reduction performed (instrumentation for warm starts).
+    s_i = multiples[i][0] * b1 + multiples[i][1] * b2.
     """
 
     s1: Vec
     s2: Vec
     multiples: Multiples
-    swap_steps: int
 
 
 def _round_ratio(num: int, den: int) -> int:
@@ -67,37 +73,31 @@ def _round_ratio(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def lagrange_reduce(j: int, params: Params, seed: Multiples | None = None) -> ReducedBasis:
+def lagrange_reduce(j: int, params: Params) -> ReducedBasis:
     """Gauss/Lagrange reduction of the frequency lattice for j.
 
-    With seed given, reduction starts from the seeded combination of the
-    basis vectors instead of the basis itself; the result is expressed
-    in the original (unseeded) basis either way.  Exact arithmetic.
+    Exact arithmetic on bare ints: vector i is (xi, yi) with multiples
+    (ai, bi) of the basis and cached norm4 ni.
     """
-    b1, b2 = basis_for(j, params)
-    if seed is None:
-        u1, u2 = (1, 0), (0, 1)
-    else:
-        u1, u2 = seed
-        if u1[0] * u2[1] - u1[1] * u2[0] not in (-1, 1):
-            raise ValueError(f"seed multiples are not unimodular: {seed}")
-    v1 = Vec(u1[0] * b1.x + u1[1] * b2.x, u1[0] * b1.y2 + u1[1] * b2.y2)
-    v2 = Vec(u2[0] * b1.x + u2[1] * b2.x, u2[0] * b1.y2 + u2[1] * b2.y2)
-    steps = 0
-    if norm4(v1) > norm4(v2):
-        v1, v2, u1, u2 = v2, v1, u2, u1
-        steps += 1
+    (x1, y1), (x2, y2) = basis_for(j, params)
+    a1, b1, a2, b2 = 1, 0, 0, 1
+    n1 = 4 * x1 * x1 + y1 * y1
+    n2 = 4 * x2 * x2 + y2 * y2
+    if n1 > n2:
+        x1, y1, a1, b1, n1, x2, y2, a2, b2, n2 = x2, y2, a2, b2, n2, x1, y1, a1, b1, n1
     while True:
-        t = _round_ratio(dot4(v2, v1), norm4(v1))
+        t = _round_ratio(4 * x2 * x1 + y2 * y1, n1)
         if t:
-            v2 = Vec(v2.x - t * v1.x, v2.y2 - t * v1.y2)
-            u2 = (u2[0] - t * u1[0], u2[1] - t * u1[1])
-        if norm4(v2) < norm4(v1):
-            v1, v2, u1, u2 = v2, v1, u2, u1
-            steps += 1
+            x2 -= t * x1
+            y2 -= t * y1
+            a2 -= t * a1
+            b2 -= t * b1
+            n2 = 4 * x2 * x2 + y2 * y2
+        if n2 < n1:
+            x1, y1, a1, b1, n1, x2, y2, a2, b2, n2 = x2, y2, a2, b2, n2, x1, y1, a1, b1, n1
         else:
             break
-    return ReducedBasis(s1=v1, s2=v2, multiples=(u1, u2), swap_steps=steps)
+    return ReducedBasis(s1=Vec(x1, y1), s2=Vec(x2, y2), multiples=((a1, b1), (a2, b2)))
 
 
 def solve_shortest(j: int, params: Params) -> int:
@@ -118,8 +118,8 @@ def solve_shortest(j: int, params: Params) -> int:
 class EnumerationResult:
     """Candidates from enumerating short vectors around a reduced basis.
 
-    candidates keeps first-seen order, deduplicated; visited counts the
-    vectors w = m1 s1 + m2 s2 tried inside the circle.
+    candidates are distinct, in order of (m2, m1); visited counts the
+    vectors w = m1 s1 + m2 s2 inside the circle with w_2 >= 0.
     case 1 means the single reduced vector already decided the answer.
     """
 
@@ -129,6 +129,15 @@ class EnumerationResult:
     budget: int
 
 
+def _clip(lo: int, hi: int, a: int, b: int, low: int, high: int) -> tuple[int, int]:
+    """The part of [lo, hi] where low <= a * m1 + b <= high (maybe empty)."""
+    if a > 0:
+        return max(lo, -((b - low) // a)), min(hi, (high - b) // a)
+    if a < 0:
+        return max(lo, -((high - b) // -a)), min(hi, (b - low) // -a)
+    return (lo, hi) if low <= b <= high else (lo, lo - 1)
+
+
 def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> EnumerationResult:
     """All order candidates 2 w_2 from lattice vectors with |w| < 2**(m-1/2).
 
@@ -136,9 +145,21 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
     short (case 1), the single candidate 2 |(s1)_2| is returned without
     enumeration.  Otherwise vectors w = m1 s1 + m2 s2 inside the circle
     are enumerated, restricted to the top semicircle (w_2 >= 0) and to
-    the coordinate box |w_1| < 2**(m-1), 0 <= w_2 < 2**(m-1) that any
+    the coordinate box |w_1| < 2**(m-1), 0 < w_2 < 2**(m-1) that any
     true order vector satisfies.  The number of vectors visited is
     hard-checked against the budget ceil(6 sqrt(3) 2**delta).
+
+    Each row m2 is counted, not walked.  With A = norm4(s1) and
+    c = -m2 dot4(s1, s2), the Gram determinant gives
+        A norm4(w) = (A m1 - c)**2 + 2**(2n+2) m2**2,
+    so the row's vectors inside the circle are exactly the m1 in
+    [ceil((c - s)/A), floor((c + s)/A)], s the largest integer with
+    s**2 < disc = A 2**(2m+1) - 2**(2n+2) m2**2.  The half plane and the
+    box are linear in m1 and clip that interval, and the candidates of a
+    row form an arithmetic progression with step (s1)_2.  They never
+    repeat: two box vectors with equal w_2 differ by a multiple of
+    (2**n, 0), yet their first coordinates differ by less than
+    2**m <= 2**(n-1).
     """
     from .bounds import enumeration_budget
 
@@ -147,12 +168,13 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
         delta = params.delta if params.delta is not None else max(0, m - params.ell)
     budget = enumeration_budget(max(0, delta))
     rb = lagrange_reduce(j, params)
+    (x1, y1), (x2, y2) = rb.s1, rb.s2
     A = norm4(rb.s1)
 
     # case 1: lambda2_perp >= 2**(m - 1/2), i.e. 2**(2n) / A >= 2**(2m-1)
     if 1 << (2 * params.n) >= A << (2 * m - 1):
         return EnumerationResult(
-            candidates=[abs(rb.s1.y2)],
+            candidates=[abs(y1)],
             visited=1,
             case=1,
             budget=budget,
@@ -161,79 +183,37 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
     Bc = dot4(rb.s1, rb.s2)
     R4 = 1 << (2 * m + 1)  # norm4(w) < R4  <=>  |w| < 2**(m - 1/2)
     x_cap = 1 << m         # |w_1| < 2**(m-1)  <=>  2|w.x| < 2**m
+    det_shift = 2 * params.n + 2  # A norm4(s2) - Bc**2 = 2**(2n+2)
     # outer range: m2^2 * 2**(2n) < 2**(2m-1) * A  (lambda2_perp bound)
     m2_max = math.isqrt(((A << (2 * m - 1)) - 1) >> (2 * params.n))
     candidates: list[int] = []
-    seen: set[int] = set()
     visited = 0
     for m2 in range(-m2_max, m2_max + 1):
-        c = -Bc * m2
-        disc = A * R4 - ((m2 * m2) << (2 * params.n + 2))
-        if disc < 0:
+        disc = A * R4 - ((m2 * m2) << det_shift)
+        if disc <= 0:
             continue
         s = math.isqrt(disc)
-        lo = (c - s) // A - 1
-        hi = (c + s) // A + 1
-        for m1 in range(lo, hi + 1):
-            w = Vec(
-                m1 * rb.s1.x + m2 * rb.s2.x,
-                m1 * rb.s1.y2 + m2 * rb.s2.y2,
+        if s * s == disc:
+            s -= 1
+        c = -Bc * m2
+        yc = m2 * y2  # w_2 = y1 m1 + yc, doubled
+        # inside the circle w_2**2 < R4, so w_2 <= R4 bounds nothing
+        lo, hi = _clip(-((s - c) // A), (c + s) // A, y1, yc, 0, R4)
+        if lo > hi:
+            continue
+        visited += hi - lo + 1
+        if visited > budget:
+            raise EnumerationBudgetExceeded(
+                f"enumeration for j={j} exceeded {budget} vectors"
             )
-            if w.y2 < 0:
-                continue  # top semicircle only; mirrors carry the same candidate
-            if norm4(w) >= R4:
-                continue  # boundary probe from the padded integer range
-            visited += 1
-            if visited > budget:
-                raise EnumerationBudgetExceeded(
-                    f"enumeration for j={j} exceeded {budget} vectors"
-                )
-            if w.y2 == 0 or w.y2 >= x_cap or 2 * abs(w.x) >= x_cap:
-                continue
-            if w.y2 not in seen:
-                seen.add(w.y2)
-                candidates.append(w.y2)
+        lo, hi = _clip(lo, hi, y1, yc, 1, x_cap - 1)
+        lo, hi = _clip(lo, hi, 2 * x1, 2 * m2 * x2, 1 - x_cap, x_cap - 1)
+        if lo > hi:
+            continue
+        if y1:
+            candidates.extend(range(y1 * lo + yc, y1 * (hi + 1) + yc, y1))
+        else:
+            candidates.append(yc)  # a constant row meets the box at most once
     return EnumerationResult(
         candidates=candidates, visited=visited, case=2, budget=budget
     )
-
-
-def reduce_offset_range(j: int, B: int, params: Params) -> list[ReducedBasis]:
-    """Reduced bases for frequencies j-B .. j+B, warm-started from neighbors.
-
-    The reduced multiples of each frequency seed the reduction of the
-    next one over; reduced bases of adjacent frequencies differ little,
-    so the chained reductions do less work than 2B+1 cold starts while
-    producing bases of the same lattices with the same norms.
-    """
-    if B < 0:
-        raise ValueError(f"B must be >= 0, got {B}")
-    N = params.two_n
-    center = lagrange_reduce(j % N, params)
-    up: list[ReducedBasis] = []
-    prev = center
-    for k in range(1, B + 1):
-        prev = lagrange_reduce((j + k) % N, params, seed=prev.multiples)
-        up.append(prev)
-    down: list[ReducedBasis] = []
-    prev = center
-    for k in range(1, B + 1):
-        prev = lagrange_reduce((j - k) % N, params, seed=prev.multiples)
-        down.append(prev)
-    return list(reversed(down)) + [center] + up
-
-
-def structured_filter_precompute(group, x, rb: ReducedBasis):
-    """Group elements x^(2 (s1)_2), x^(2 (s2)_2) for the reduced basis.
-
-    Any enumerated vector w = m1 s1 + m2 s2 then has
-        x^(2 w_2) = x1^m1 * x2^m2,
-    so candidate identity tests cost two small powers instead of one
-    full-width one.
-    """
-    return group.pow(x, rb.s1.y2), group.pow(x, rb.s2.y2)
-
-
-def structured_power(group, x1, x2, m1: int, m2: int):
-    """x^(2 w_2) for w = m1 s1 + m2 s2, from the precomputed pair."""
-    return group.mul(group.pow(x1, m1), group.pow(x2, m2))

@@ -1,25 +1,24 @@
-"""Lattice reduction, short-vector enumeration, and the structured filter."""
+"""Lattice reduction and short-vector enumeration."""
 
 import math
+import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderlab.bounds import enumeration_budget
 from orderlab.lattice import (
     EnumerationBudgetExceeded,
+    EnumerationResult,
+    ReducedBasis,
     Vec,
     basis_for,
     dot4,
     enumerate_candidates,
     lagrange_reduce,
     norm4,
-    reduce_offset_range,
     solve_shortest,
-    structured_filter_precompute,
-    structured_power,
 )
-from orderlab.model import Params, Rng, SimulatedGroup, peak
+from orderlab.model import Params, peak
 
 
 def vec_from_multiples(mult, b1: Vec, b2: Vec) -> Vec:
@@ -67,20 +66,6 @@ class TestLagrangeReduce:
             p = Params(r=5, m=3, ell=5)
             rb = lagrange_reduce(j, p)
             assert 3 * norm4(rb.s1) ** 2 <= 16 * p.two_n ** 2
-
-    @given(st.integers(0, 2 ** 12 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_seeded_reaches_same_norms(self, j):
-        p = Params(r=7, m=3, ell=9)
-        cold = lagrange_reduce(j, p)
-        warm = lagrange_reduce(j, p, seed=((5, 1), (4, 1)))
-        assert norm4(warm.s1) == norm4(cold.s1)
-        assert norm4(warm.s2) == norm4(cold.s2)
-
-    def test_seed_must_be_unimodular(self):
-        p = Params(r=5, m=3, ell=3)
-        with pytest.raises(ValueError):
-            lagrange_reduce(1, p, seed=((2, 0), (0, 2)))
 
 
 class TestSolveShortest:
@@ -147,6 +132,7 @@ class TestEnumeration:
         res = enumerate_candidates(j, p, delta=delta)
         assert res.visited <= res.budget == enumeration_budget(delta)
         brute = brute_short_candidates(j, p)
+        assert len(set(res.candidates)) == len(res.candidates)
         if res.case == 2:
             assert set(res.candidates) == brute
         else:
@@ -164,41 +150,95 @@ class TestEnumeration:
                     assert r // math.gcd(r, z) in res.candidates
 
 
-class TestOffsetRange:
-    def test_matches_cold_reductions(self):
-        p = Params(r=29, m=5, ell=5)
-        j = peak(11, p).j0 % p.two_n
-        B = 4
-        chain = reduce_offset_range(j, B, p)
-        assert len(chain) == 2 * B + 1
-        for k, rb in zip(range(-B, B + 1), chain):
-            cold = lagrange_reduce((j + k) % p.two_n, p)
-            assert norm4(rb.s1) == norm4(cold.s1)
-            assert norm4(rb.s2) == norm4(cold.s2)
-            assert abs(rb.s1.x * rb.s2.y2 - rb.s2.x * rb.s1.y2) == p.two_n
-
-    def test_wraps_modulo(self):
-        p = Params(r=5, m=3, ell=3)
-        chain = reduce_offset_range(1, 2, p)  # touches j = -1 mod N
-        cold = lagrange_reduce(p.two_n - 1, p)
-        assert norm4(chain[0].s1) == norm4(cold.s1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            reduce_offset_range(1, -1, Params(r=5, m=3, ell=3))
+def reference_lagrange_reduce(j: int, params: Params) -> ReducedBasis:
+    """Lagrange reduction on Vec values, recomputing every norm."""
+    v1, v2 = basis_for(j, params)
+    u1, u2 = (1, 0), (0, 1)
+    if norm4(v1) > norm4(v2):
+        v1, v2, u1, u2 = v2, v1, u2, u1
+    while True:
+        t = (2 * dot4(v2, v1) + norm4(v1)) // (2 * norm4(v1))
+        if t:
+            v2 = Vec(v2.x - t * v1.x, v2.y2 - t * v1.y2)
+            u2 = (u2[0] - t * u1[0], u2[1] - t * u1[1])
+        if norm4(v2) < norm4(v1):
+            v1, v2, u1, u2 = v2, v1, u2, u1
+        else:
+            return ReducedBasis(s1=v1, s2=v2, multiples=(u1, u2))
 
 
-class TestStructuredFilter:
-    @given(st.integers(2, 10 ** 6), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_power_identity(self, r, data):
-        group = SimulatedGroup(r)
-        x = group.random_element(Rng(data.draw(st.integers(0, 999))))
-        p = Params(r=5, m=3, ell=5)
-        j = data.draw(st.integers(0, p.two_n - 1))
-        rb = lagrange_reduce(j, p)
-        x1, x2 = structured_filter_precompute(group, x, rb)
-        m1 = data.draw(st.integers(-6, 6))
-        m2 = data.draw(st.integers(-6, 6))
-        w_y2 = m1 * rb.s1.y2 + m2 * rb.s2.y2
-        assert structured_power(group, x1, x2, m1, m2) == group.pow(x, w_y2)
+def reference_enumerate_candidates(j: int, params: Params, delta: int) -> EnumerationResult:
+    """Visit every vector of a padded range per row, deduplicating by a set."""
+    m, n = params.m, params.n
+    budget = enumeration_budget(max(0, delta))
+    rb = reference_lagrange_reduce(j, params)
+    A = norm4(rb.s1)
+    if 1 << (2 * n) >= A << (2 * m - 1):
+        return EnumerationResult(candidates=[abs(rb.s1.y2)], visited=1, case=1, budget=budget)
+    Bc = dot4(rb.s1, rb.s2)
+    R4 = 1 << (2 * m + 1)
+    x_cap = 1 << m
+    m2_max = math.isqrt(((A << (2 * m - 1)) - 1) >> (2 * n))
+    candidates: list[int] = []
+    seen: set[int] = set()
+    visited = 0
+    for m2 in range(-m2_max, m2_max + 1):
+        c = -Bc * m2
+        disc = A * R4 - ((m2 * m2) << (2 * n + 2))
+        if disc < 0:
+            continue
+        s = math.isqrt(disc)
+        for m1 in range((c - s) // A - 1, (c + s) // A + 2):
+            w = Vec(m1 * rb.s1.x + m2 * rb.s2.x, m1 * rb.s1.y2 + m2 * rb.s2.y2)
+            if w.y2 < 0 or norm4(w) >= R4:
+                continue
+            visited += 1
+            if visited > budget:
+                raise EnumerationBudgetExceeded(f"enumeration for j={j} exceeded {budget} vectors")
+            if w.y2 == 0 or w.y2 >= x_cap or 2 * abs(w.x) >= x_cap:
+                continue
+            if w.y2 not in seen:
+                seen.add(w.y2)
+                candidates.append(w.y2)
+    return EnumerationResult(candidates=candidates, visited=visited, case=2, budget=budget)
+
+
+def enumeration_outcome(enumerate_fn, j: int, params: Params, delta: int):
+    try:
+        return enumerate_fn(j, params, delta)
+    except EnumerationBudgetExceeded as exc:
+        return ("budget", str(exc))
+
+
+class TestAgainstReference:
+    """The closed-form rows and the bare-int reduction return exactly the
+    per-vector reference's results, exceptions included."""
+
+    def assert_same(self, j: int, params: Params, delta: int):
+        assert lagrange_reduce(j, params) == reference_lagrange_reduce(j, params)
+        outcome = enumeration_outcome(enumerate_candidates, j, params, delta)
+        assert outcome == enumeration_outcome(reference_enumerate_candidates, j, params, delta)
+        return outcome
+
+    @given(st.integers(2, 300), st.integers(0, 3), st.integers(0, 6), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_small_geometries(self, r, extra_bits, delta, data):
+        # delta is drawn apart from m - ell, so delta = 0 (a budget of 11)
+        # against a short register runs the budget path
+        m = r.bit_length() + extra_bits
+        p = Params(r=r, m=m, ell=data.draw(st.integers(1, m)))
+        self.assert_same(data.draw(st.integers(0, p.two_n - 1)), p, delta)
+
+    def test_every_frequency_of_one_geometry(self):
+        p = Params(r=3, m=7, ell=3)
+        outcomes = [self.assert_same(j, p, delta) for delta in (0, 4) for j in range(p.two_n)]
+        assert {o[0] if isinstance(o, tuple) else o.case for o in outcomes} == {"budget", 1, 2}
+
+    def test_near_peaks_at_128_bits(self):
+        rnd = random.Random(20221)
+        for _ in range(10):
+            r = rnd.getrandbits(128) | (1 << 127)
+            p = Params(r=r, m=128, ell=120)
+            j0 = peak(rnd.randrange(r), p).j0
+            for offset in range(-10, 11):  # 210 frequencies in all
+                self.assert_same((j0 + offset) % p.two_n, p, 8)

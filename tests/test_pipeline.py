@@ -250,6 +250,39 @@ class TestReportSerialization:
         assert len(lines[1].split(",")) == len(MONTE_CARLO_CSV_COLUMNS)
 
 
+class TestGoldenReports:
+    """Report bytes of small seeded runs, pinned so that speed-ups of the
+    lattice, recovery and sampling layers cannot change them unnoticed."""
+
+    ENUMERATE_TREE = (
+        '{"config": {"m": 32, "ell": 28, "B": 10, "c": 10, "delta": 4'
+        ', "strategy": "enumerate", "recovery": "tree", "t_max": 16777216, "seed": 2024}'
+        ', "trials": 300, "successes": 294, "rate": 0.98, "wilson99": [0.946549348115'
+        ', 0.992678388821], "bound": 0.966927653976, "slack": 0.0309734883177, "pass": true'
+        ', "failure_counts": {"tail": 0, "no_candidate": 0, "unsmooth_d": 6, "budget": 0}'
+        ', "exponent_bits": {"mean": 12445.17, "max": 515387}}'
+    )
+    LATTICE_STACK = (
+        '{"config": {"m": 32, "ell": 32, "B": 10, "c": 10, "delta": null'
+        ', "strategy": "lattice", "recovery": "stack", "t_max": 16777216, "seed": 2024}'
+        ', "trials": 300, "successes": 298, "rate": 0.993333333333'
+        ', "wilson99": [0.966620057795, 0.9986973385], "bound": 0.966928369131'
+        ', "slack": 0.0309731648853, "pass": true, "failure_counts": {"tail": 0'
+        ', "no_candidate": 0, "unsmooth_d": 2, "budget": 0}'
+        ', "exponent_bits": {"mean": 702.78, "max": 9166}}'
+    )
+
+    def test_enumerate_tree(self):
+        cfg = RunConfig(m=32, ell=28, B=10, c=10.0, strategy="enumerate", recovery="tree", delta=4)
+        report = monte_carlo(cfg, trials=300, seed=2024)
+        assert dumps_report(report.to_dict()) == self.ENUMERATE_TREE
+
+    def test_lattice_stack(self):
+        cfg = RunConfig(m=32, ell=32, B=10, c=10.0, strategy="lattice", recovery="stack")
+        report = monte_carlo(cfg, trials=300, seed=2024)
+        assert dumps_report(report.to_dict()) == self.LATTICE_STACK
+
+
 class TestTrueOrder:
     @given(st.integers(5, 3000), st.data())
     @settings(max_examples=150, deadline=None)
