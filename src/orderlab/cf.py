@@ -61,9 +61,3 @@ def solve_cf(j: int, params: Params) -> int:
         a, b = rem, a
     return best
 
-
-def convergent_admissibility(j: int, z: int, r: int, params: Params) -> bool:
-    """Whether z/r is guaranteed to appear among the convergents of j/2**n,
-    i.e. |j/2**n - z/r| < 1/(2 r**2).  Exact integer comparison."""
-    N = params.two_n
-    return 2 * r * abs(j * r - z * N) < N

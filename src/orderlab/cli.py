@@ -14,18 +14,30 @@ simulation misses its bound or a factorization fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from . import bounds, pipeline
+from . import bounds, pipeline, recovery
 from .distribution import Sampler
 from .model import Params, Rng
 
 
-def _add_register_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True, help="order register width (bits)")
-    p.add_argument("--ell", type=int, required=True, help="extra register width (bits)")
-    p.add_argument("--B", type=int, default=10, help="offset window radius")
-    p.add_argument("--c", type=float, default=25.0, help="smoothness parameter")
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The run options of `simulate` and `factor`.  A flag left out stays
+    out of the parsed namespace, so RunConfig's own default applies."""
+    unset = argparse.SUPPRESS
+    p.add_argument("--B", type=int, default=unset, help="offset window radius")
+    p.add_argument("--c", type=float, default=unset, help="smoothness parameter")
+    p.add_argument("--strategy", choices=tuple(pipeline.STRATEGIES), default=unset)
+    p.add_argument("--recovery", choices=tuple(recovery._RECOVERY), default=unset)
+    p.add_argument("--tmax", dest="t_max", metavar="TMAX", type=int, default=unset,
+                   help="offset cap of the sampler walk")
+
+
+def _run_options(args: argparse.Namespace) -> dict:
+    """The parsed flags that name RunConfig fields."""
+    fields = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
+    return {k: v for k, v in vars(args).items() if k in fields}
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -61,16 +73,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = pipeline.RunConfig(
-        m=args.m,
-        ell=args.ell,
-        B=args.B,
-        c=args.c,
-        strategy=args.strategy,
-        recovery=args.recovery,
-        delta=args.delta,
-        t_max=args.tmax,
-    )
+    config = pipeline.RunConfig(**_run_options(args))
     report = pipeline.monte_carlo(config, args.trials, args.seed)
     if args.format == "json":
         text = pipeline.dumps_report(report.to_dict()) + "\n"
@@ -99,14 +102,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     report = pipeline.factor_completely(
-        args.N,
-        args.seed,
-        B=args.B,
-        c=args.c,
-        strategy=args.strategy,
-        recovery_algorithm=args.recovery,
-        split_iterations=args.split_iterations,
-        t_max=args.tmax,
+        args.N, args.seed, args.split_iterations, **_run_options(args)
     )
     sys.stdout.write(pipeline.dumps_report(report.to_dict()) + "\n")
     return 0 if report.success else 1
@@ -122,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="print an analytic success bound")
     p_bound.add_argument("--m", type=int, default=None)
     p_bound.add_argument("--ell", type=int, default=None)
-    p_bound.add_argument("--B", type=int, default=10)
-    p_bound.add_argument("--c", type=float, default=25.0)
+    p_bound.add_argument("--B", type=int, default=pipeline.RunConfig.B)
+    p_bound.add_argument("--c", type=float, default=pipeline.RunConfig.c)
     p_bound.add_argument("--delta", type=int, default=None,
                          help="register reduction; selects the enumeration bound")
     p_bound.add_argument("--elimination", choices=("sqrt", "pow2ell"), default="sqrt")
@@ -141,14 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table1)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo over full runs")
-    _add_register_flags(p_sim)
+    p_sim.add_argument("--m", type=int, required=True, help="order register width (bits)")
+    p_sim.add_argument("--ell", type=int, required=True, help="extra register width (bits)")
+    p_sim.add_argument("--delta", type=int, default=None,
+                       help="register reduction of the enumeration (default m - ell)")
+    _add_run_flags(p_sim)
     p_sim.add_argument("--trials", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--strategy", choices=("cf", "lattice", "enumerate"),
-                       default="cf")
-    p_sim.add_argument("--recovery", choices=("stack", "tree"), default="stack")
-    p_sim.add_argument("--delta", type=int, default=None)
-    p_sim.add_argument("--tmax", type=int, default=2 ** 24)
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     p_sim.add_argument("--out", type=str, default=None)
     p_sim.set_defaults(func=_cmd_simulate)
@@ -159,19 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--ell", type=int, required=True)
     p_sample.add_argument("--trials", type=int, default=10)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--tmax", type=int, default=2 ** 24)
+    p_sample.add_argument("--tmax", type=int, default=pipeline.RunConfig.t_max)
     p_sample.set_defaults(func=_cmd_sample)
 
     p_factor = sub.add_parser("factor", help="factor an odd composite end to end")
     p_factor.add_argument("--N", type=int, required=True)
     p_factor.add_argument("--seed", type=int, default=0)
-    p_factor.add_argument("--B", type=int, default=10)
-    p_factor.add_argument("--c", type=float, default=25.0)
-    p_factor.add_argument("--strategy", choices=("cf", "lattice", "enumerate"),
-                          default="cf")
-    p_factor.add_argument("--recovery", choices=("stack", "tree"), default="stack")
+    _add_run_flags(p_factor)
     p_factor.add_argument("--split-iterations", type=int, default=32)
-    p_factor.add_argument("--tmax", type=int, default=2 ** 24)
     p_factor.set_defaults(func=_cmd_factor)
 
     return parser

@@ -299,7 +299,7 @@ def full_distribution(params: Params) -> np.ndarray:
     return np.tile(prob_array((params.r * j) % N, params), N // period)
 
 
-def window_mass(z: int, params: Params, B: int, prec: int | None = None) -> mpmath.mpf:
+def window_mass(z: int, params: Params, B: int) -> mpmath.mpf:
     """Total probability of the 2B+1 frequencies nearest to peak z.
 
     Requires B < B_max so the window stays inside the peak's own cell.
@@ -307,9 +307,9 @@ def window_mass(z: int, params: Params, B: int, prec: int | None = None) -> mpma
     if B < 1 or params.r * (2 * B + 1) >= params.two_n:
         raise ValueError(f"window B={B} must satisfy 1 <= B < B_max")
     pk = peak(z, params)
-    with mpmath.workprec(prec or default_prec(params)):
+    with mpmath.workprec(default_prec(params)):
         return mpmath.fsum(
-            prob(pk.alpha0 + params.r * t, params, prec) for t in range(-B, B + 1)
+            prob(pk.alpha0 + params.r * t, params) for t in range(-B, B + 1)
         )
 
 
@@ -343,11 +343,11 @@ class Sampler:
     same parameters cost a dictionary lookup plus a scan.
     """
 
-    def __init__(self, params: Params, t_max: int = 2 ** 24, prec: int | None = None):
+    def __init__(self, params: Params, t_max: int = 2 ** 24):
         if t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         self.params = params
-        self.prec = prec or default_prec(params)
+        self.prec = default_prec(params)
         d = derive(params)
         self.t_cap = min(t_max, d.B_max_floor)
         self._cum: dict[int, list] = {}

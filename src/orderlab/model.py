@@ -183,16 +183,12 @@ class SimulatedGroup:
         if r < 1:
             raise ParameterError(f"group order must be positive, got {r}")
         self.r = r
-        self.identity = 0
 
     def element(self, k: int) -> int:
         return k % self.r
 
     def generator(self) -> int:
         return 1 % self.r
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.r
 
     def pow(self, a: int, k: int) -> int:
         # negative k is inversion followed by the positive power
@@ -221,16 +217,12 @@ class ModNGroup:
         if N <= 3 or N % 2 == 0:
             raise ParameterError(f"modulus must be odd and > 3, got {N}")
         self.N = N
-        self.identity = 1
 
     def element(self, x: int) -> int:
         x %= self.N
         if math.gcd(x, self.N) != 1:
             raise ParameterError(f"{x} is not a unit mod {self.N}")
         return x
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.N
 
     def pow(self, a: int, k: int) -> int:
         return pow(a, k, self.N)

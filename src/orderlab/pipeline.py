@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import bounds, cf, lattice, recovery
 from .distribution import Sampler
@@ -32,30 +33,54 @@ WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 
+class Strategy(NamedTuple):
+    """A solver strategy: the order candidates of one frequency offset, and
+    the elimination mode of the analytic bound that covers it."""
+
+    candidates: Callable[[int, Params], list[int]]
+    elimination: str
+
+
+# Each entry looks its solver up through this module's `cf` and `lattice`
+# names at call time, so a wrapper installed on those names sees every call.
+STRATEGIES = {
+    # the last continued-fraction convergent below 2**(n/2)
+    "cf": Strategy(lambda o, params: [cf.solve_cf(o, params)], "sqrt"),
+    # the shortest vector of the reduced frequency lattice
+    "lattice": Strategy(lambda o, params: [lattice.solve_shortest(o, params)], "sqrt"),
+    # every short lattice vector, with the reduced register ell = m - delta
+    "enumerate": Strategy(
+        lambda o, params: lattice.enumerate_candidates(o, params).candidates, "pow2ell"
+    ),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one order-finding run.
 
-    strategy: 'cf' (continued fractions), 'lattice' (shortest reduced
-    vector), or 'enumerate' (short-vector enumeration with the reduced
-    register ell = m - delta).  recovery: 'stack' or 'tree'.
+    strategy is a key of STRATEGIES and recovery a key of
+    recovery._RECOVERY.  delta = None means m - ell.
     """
 
     m: int
     ell: int
-    B: int
-    c: float
+    B: int = 10
+    c: float = 25.0
     strategy: str = "cf"
     recovery: str = "stack"
     delta: int | None = None
     t_max: int = 2 ** 24
-    prec: int | None = None
 
     def __post_init__(self):
-        if self.strategy not in ("cf", "lattice", "enumerate"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.recovery not in ("stack", "tree"):
+        if self.recovery not in recovery._RECOVERY:
             raise ValueError(f"unknown recovery {self.recovery!r}")
+        # at ell = 1 the window clamp of run_once leaves most full-width
+        # orders (every r > 2**(m+1)/3) with no offset at all
+        if self.ell < 2:
+            raise ValueError(f"ell must be >= 2, got {self.ell}")
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
         if self.t_max < self.B:
@@ -73,24 +98,13 @@ class RunOutcome:
     exponent_bits: int
 
 
-def _candidates_for(j: int, params: Params, config: RunConfig) -> list[int]:
+def _candidates_for(j: int, params: Params, strategy: str) -> list[int]:
+    """The distinct candidates of the offsets j-B..j+B, in first-seen order."""
+    solve = STRATEGIES[strategy].candidates
     N = params.two_n
-    B = params.B if params.B is not None else config.B
-    offsets = [(j + k) % N for k in range(-B, B + 1)]
-    out: list[int] = []
-    seen: set[int] = set()
-    for o in offsets:
-        if config.strategy == "cf":
-            cands = [cf.solve_cf(o, params)]
-        elif config.strategy == "lattice":
-            cands = [lattice.solve_shortest(o, params)]
-        else:
-            cands = lattice.enumerate_candidates(o, params, config.delta).candidates
-        for cand in cands:
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return out
+    return list(dict.fromkeys(
+        cand for k in range(-params.B, params.B + 1) for cand in solve((j + k) % N, params)
+    ))
 
 
 @functools.cache
@@ -130,12 +144,12 @@ def run_once(
         delta=config.delta,
     )
     meter = recovery.ExponentMeter()
-    sampler = sampler or Sampler(params, t_max=config.t_max, prec=config.prec)
+    sampler = sampler or Sampler(params, t_max=config.t_max)
     drawn = sampler.sample(rng)
     if drawn.tail:
         return RunOutcome(False, None, "tail", drawn.z, None, None, 0)
     try:
-        candidates = _candidates_for(drawn.j, params, config)
+        candidates = _candidates_for(drawn.j, params, config.strategy)
     except lattice.EnumerationBudgetExceeded:
         return RunOutcome(False, None, "budget", drawn.z, drawn.t, drawn.j, 0)
     in_range = [cand for cand in candidates if 1 <= cand < (1 << config.m)]
@@ -222,10 +236,10 @@ class MonteCarloReport:
 
 def analytic_bound(config: RunConfig) -> float:
     """The analytic single-run bound matching the configured strategy."""
-    elimination = "pow2ell" if config.strategy == "enumerate" else "sqrt"
     return float(
         bounds.single_run_success_bound(
-            config.m, config.ell, config.B, config.c, elimination
+            config.m, config.ell, config.B, config.c,
+            STRATEGIES[config.strategy].elimination,
         )
     )
 
@@ -462,14 +476,7 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
 
 
 def factor_completely(
-    N: int,
-    seed: int,
-    B: int = 10,
-    c: float = 25.0,
-    strategy: str = "cf",
-    recovery_algorithm: str = "stack",
-    split_iterations: int = 32,
-    t_max: int = 2 ** 24,
+    N: int, seed: int, split_iterations: int = 32, **run_options
 ) -> FactorReport:
     """Factor an odd composite N end to end.
 
@@ -477,7 +484,8 @@ def factor_completely(
     needs the true order, which the harness computes classically; the
     post-processing stays blind), followed by classical gcd splitting
     driven by the recovered order.  Rejects even, prime, prime-power,
-    and trivially small N with guidance.
+    and trivially small N with guidance.  run_options are RunConfig
+    fields other than the register split m, ell, which N fixes.
     """
     if N <= 3 or N % 2 == 0:
         raise ValueError(f"N={N}: need an odd integer above 3")
@@ -492,15 +500,7 @@ def factor_completely(
     group = ModNGroup(N)
     g = group.random_element(rng)
     m, ell = _register_for_modulus(N)
-    config = RunConfig(
-        m=m,
-        ell=ell,
-        B=B,
-        c=c,
-        strategy=strategy,
-        recovery=recovery_algorithm,
-        t_max=t_max,
-    )
+    config = RunConfig(m=m, ell=ell, **run_options)
     r = true_order(N, g)
     outcome = run_once(group, g, r, config, rng)
     if not outcome.success:

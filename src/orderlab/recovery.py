@@ -316,7 +316,6 @@ def solve_candidate_set(
     ctx: SmoothnessContext,
     algorithm: str = "stack",
     meter: ExponentMeter | None = None,
-    state: FilterState | None = None,
 ) -> CandidateSolve:
     """Filter the candidates, recover from each survivor, keep the minimum.
 
@@ -325,56 +324,13 @@ def solve_candidate_set(
     minimum over successes is the order whenever any survivor is good.
     """
     recover = _RECOVERY[algorithm]
-    survivors, _ = filter_candidates(group, g, candidates, ctx, meter, state)
+    survivors, _ = filter_candidates(group, g, candidates, ctx, meter)
     best: int | None = None
     for cand in survivors:
         got = recover(group, g, cand, ctx, meter)
         if got is not None and (best is None or got < best):
             best = got
     return CandidateSolve(order=best, survivors=survivors)
-
-
-def smooth_part_division(
-    group, g, r_prime: int, prime_bound: int, meter: ExponentMeter | None = None
-) -> int:
-    """Strip smooth surplus from a known multiple of the order.
-
-    Divides out each prime q <= prime_bound while the quotient still
-    takes g to the identity; returns the reduced multiple (the order
-    itself when the surplus r_prime / order was prime_bound-smooth).
-    """
-    if r_prime < 1:
-        raise ValueError(f"need a positive multiple, got {r_prime}")
-    for q in primes_up_to(prime_bound):
-        while r_prime % q == 0 and group.is_identity(
-            _pow(group, g, r_prime // q, meter)
-        ):
-            r_prime //= q
-    return r_prime
-
-
-def verify_order(group, g, candidate: int, rho_budget: int | None = None) -> bool:
-    """Certify that candidate is the exact order of g.
-
-    Precondition (raises ValueError if violated): g**candidate is the
-    identity.  The candidate is factored completely, then each maximal
-    proper divisor candidate/q is checked to not hit the identity.
-    Factorization may raise FactorizationTimeout, which callers report
-    distinctly from a False verdict.
-    """
-    from .factorint import factorization_product, factorize
-
-    if candidate < 1:
-        raise ValueError(f"candidate must be positive, got {candidate}")
-    if not group.is_identity(group.pow(g, candidate)):
-        raise ValueError("candidate is not an identity power; nothing to verify")
-    kwargs = {} if rho_budget is None else {"rho_budget": rho_budget}
-    factors = factorize(candidate, **kwargs)
-    assert factorization_product(factors) == candidate
-    for q in factors:
-        if group.is_identity(group.pow(g, candidate // q)):
-            return False
-    return True
 
 
 def multiple_recovery_exponent_budget(ctx: SmoothnessContext) -> int:

@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab.cf import cf_expand, convergent_admissibility, solve_cf
+from orderlab.cf import cf_expand, solve_cf
 from orderlab.model import Params, peak
+
+
+def convergent_admissibility(j: int, z: int, r: int, params: Params) -> bool:
+    """Whether z/r is guaranteed to appear among the convergents of j/2**n,
+    i.e. |j/2**n - z/r| < 1/(2 r**2).  Exact integer comparison."""
+    N = params.two_n
+    return 2 * r * abs(j * r - z * N) < N
 
 
 class TestCfExpand:

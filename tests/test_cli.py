@@ -86,6 +86,26 @@ class TestSimulate:
         main(self.ARGS)
         assert capsys.readouterr().out == first
 
+    def test_omitted_flags_take_run_defaults(self, capsys):
+        args = ["simulate", "--m", "10", "--ell", "10", "--trials", "30", "--seed", "7"]
+        main(args)
+        implicit = capsys.readouterr().out
+        main(args + ["--B", "10", "--c", "25", "--strategy", "cf", "--recovery", "stack",
+                     "--tmax", "16777216"])
+        assert capsys.readouterr().out == implicit
+
+    def test_unknown_strategy_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--strategy", "newton"])
+        assert exc.value.code == 2
+
+    def test_one_bit_extra_register_exits_2(self, capsys):
+        # at ell = 1 the window of most full-width orders is empty
+        args = ["simulate", "--m", "4", "--ell", "1", "--B", "1", "--c", "2",
+                "--trials", "50", "--seed", "1"]
+        assert main(args) == 2
+        assert "error: ell must be >= 2" in capsys.readouterr().err
+
 
 class TestSample:
     def test_csv_shape(self, capsys):
@@ -115,3 +135,16 @@ class TestFactor:
     def test_invalid_modulus_exits_2(self, capsys):
         assert main(["factor", "--N", "16", "--seed", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_recovery_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["factor", "--N", "15", "--recovery", "greedy"])
+        assert exc.value.code == 2
+
+    def test_omitted_flags_take_run_defaults(self, capsys):
+        args = ["factor", "--N", "3233", "--seed", "3"]
+        main(args)
+        implicit = capsys.readouterr().out
+        main(args + ["--B", "10", "--c", "25", "--strategy", "cf", "--recovery", "stack",
+                     "--tmax", "16777216"])
+        assert capsys.readouterr().out == implicit

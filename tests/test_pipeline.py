@@ -1,5 +1,6 @@
 """End-to-end runs, Monte Carlo reporting, and the factoring pipeline."""
 
+import itertools
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import cf, lattice
 from orderlab.bounds import single_run_success_bound
 from orderlab.distribution import SampleResult
 from orderlab.lattice import EnumerationBudgetExceeded
@@ -14,6 +16,7 @@ from orderlab.model import Params, Rng, SimulatedGroup, peak
 from orderlab.pipeline import (
     FAILURE_REASONS,
     MONTE_CARLO_CSV_COLUMNS,
+    STRATEGIES,
     FactorReport,
     RunConfig,
     analytic_bound,
@@ -27,6 +30,7 @@ from orderlab.pipeline import (
     wilson_interval,
 )
 from orderlab.pipeline import _register_for_modulus
+from orderlab.recovery import _RECOVERY
 
 
 class StubSampler:
@@ -54,19 +58,46 @@ class TestRunConfig:
             RunConfig(m=8, ell=8, B=0, c=10)
         with pytest.raises(ValueError):
             RunConfig(m=8, ell=8, B=4, c=10, t_max=2)
+        with pytest.raises(ValueError, match="ell"):
+            RunConfig(m=4, ell=1, B=1, c=2)
 
 
 class TestRunOnce:
     def test_success_all_strategies(self):
-        for strategy, delta in (("cf", None), ("lattice", None), ("enumerate", 2)):
+        group = SimulatedGroup(210)  # 2 * 3 * 5 * 7, very smooth
+        for strategy, recovery in itertools.product(STRATEGIES, _RECOVERY):
+            delta = 2 if strategy == "enumerate" else None
             ell = 8 if delta is None else 8 - delta
-            cfg = RunConfig(m=8, ell=ell, B=2, c=10.0, strategy=strategy, delta=delta)
-            group = SimulatedGroup(210)  # 2 * 3 * 5 * 7, very smooth
+            cfg = RunConfig(
+                m=8, ell=ell, B=2, c=10.0, strategy=strategy, recovery=recovery, delta=delta
+            )
             out = run_once(group, group.generator(), 210, cfg, Rng(3))
-            assert out.success
+            assert out.success, (strategy, recovery)
             assert out.recovered == 210
             assert out.reason is None
             assert out.exponent_bits > 0
+
+    @pytest.mark.parametrize("strategy, module, solver", [
+        ("cf", cf, "solve_cf"),
+        ("lattice", lattice, "solve_shortest"),
+    ], ids=["cf", "lattice"])
+    def test_solver_looked_up_per_offset(self, monkeypatch, strategy, module, solver):
+        # the registry reaches the solver through its module at call time
+        calls = []
+        real = getattr(module, solver)
+
+        def counting(j, params):
+            calls.append(j)
+            return real(j, params)
+
+        monkeypatch.setattr(module, solver, counting)
+        params = Params(r=210, m=8, ell=8)
+        cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy=strategy)
+        group = SimulatedGroup(210)
+        stub = stub_for(5, params)
+        run_once(group, group.generator(), 210, cfg, Rng(0), sampler=stub)
+        j = stub.result.j
+        assert calls == [(j + k) % params.two_n for k in range(-3, 4)]
 
     def test_tail_outcome(self):
         cfg = RunConfig(m=4, ell=4, B=1, c=10.0, t_max=1)
@@ -271,6 +302,14 @@ class TestGoldenReports:
         ', "no_candidate": 0, "unsmooth_d": 2, "budget": 0}'
         ', "exponent_bits": {"mean": 702.78, "max": 9166}}'
     )
+    LATTICE_STACK_CSV = (
+        "m,ell,B,c,delta,strategy,recovery,t_max,seed,trials,successes,rate"
+        ",wilson99_low,wilson99_high,bound,slack,pass,fail_tail,fail_no_candidate"
+        ",fail_unsmooth_d,fail_budget,exponent_bits_mean,exponent_bits_max\n"
+        "32,32,10,10,,lattice,stack,16777216,2024,300,298,0.993333333333"
+        ",0.966620057795,0.9986973385,0.966928369131,0.0309731648853,true,0,0,2,0"
+        ",702.78,9166\n"
+    )
 
     def test_enumerate_tree(self):
         cfg = RunConfig(m=32, ell=28, B=10, c=10.0, strategy="enumerate", recovery="tree", delta=4)
@@ -281,6 +320,7 @@ class TestGoldenReports:
         cfg = RunConfig(m=32, ell=32, B=10, c=10.0, strategy="lattice", recovery="stack")
         report = monte_carlo(cfg, trials=300, seed=2024)
         assert dumps_report(report.to_dict()) == self.LATTICE_STACK
+        assert report_to_csv(report) == self.LATTICE_STACK_CSV
 
 
 class TestTrueOrder:

@@ -19,11 +19,9 @@ from orderlab.recovery import (
     recover_multiple,
     recover_order_stack,
     recover_order_tree,
-    smooth_part_division,
     solve_candidate_set,
     stack_recovery_exponent_budget,
     tree_recovery_exponent_budget,
-    verify_order,
 )
 
 
@@ -309,51 +307,6 @@ class TestSolveCandidateSet:
         ctx = SmoothnessContext.build(2, 3)
         with pytest.raises(KeyError):
             solve_candidate_set(group, group.generator(), [3], ctx, algorithm="other")
-
-
-class TestSmoothPartDivision:
-    def test_example(self):
-        group = SimulatedGroup(5)
-        assert smooth_part_division(group, group.generator(), 40, 3) == 5
-
-    @given(st.integers(2, 2000), st.integers(1, 96), st.integers(2, 20))
-    @settings(max_examples=200, deadline=None)
-    def test_strips_exactly_the_smooth_surplus(self, r, d, bound):
-        group = SimulatedGroup(r)
-        got = smooth_part_division(group, group.generator(), r * d, bound)
-        want = r
-        for q, e in factorize(d).items():
-            if q > bound:
-                want *= q ** e
-        assert got == want
-
-    def test_validation(self):
-        group = SimulatedGroup(5)
-        with pytest.raises(ValueError):
-            smooth_part_division(group, group.generator(), 0, 3)
-
-
-class TestVerifyOrder:
-    def test_true_order(self):
-        group = SimulatedGroup(60)
-        assert verify_order(group, group.generator(), 60)
-
-    def test_proper_multiple_rejected(self):
-        group = SimulatedGroup(60)
-        assert not verify_order(group, group.generator(), 120)
-
-    def test_non_identity_power_raises(self):
-        group = SimulatedGroup(60)
-        with pytest.raises(ValueError):
-            verify_order(group, group.generator(), 59)
-        with pytest.raises(ValueError):
-            verify_order(group, group.generator(), 0)
-
-    def test_non_generator_element(self):
-        group = SimulatedGroup(60)
-        x = group.element(6)  # order 10
-        assert verify_order(group, x, 10)
-        assert not verify_order(group, x, 20)
 
 
 class TestBudgetFormulas:
