@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo over full runs")
     p_sim.add_argument("--m", type=int, required=True, help="order register width (bits)")
     p_sim.add_argument("--ell", type=int, required=True, help="extra register width (bits)")
-    p_sim.add_argument("--delta", type=int, default=None,
+    p_sim.add_argument("--delta", type=int, default=argparse.SUPPRESS,
                        help="register reduction of the enumeration (default m - ell)")
     _add_run_flags(p_sim)
     p_sim.add_argument("--trials", type=int, default=1000)

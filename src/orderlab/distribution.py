@@ -343,7 +343,7 @@ class Sampler:
     same parameters cost a dictionary lookup plus a scan.
     """
 
-    def __init__(self, params: Params, t_max: int = 2 ** 24):
+    def __init__(self, params: Params, t_max: int):
         if t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         self.params = params

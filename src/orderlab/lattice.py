@@ -138,7 +138,7 @@ def _clip(lo: int, hi: int, a: int, b: int, low: int, high: int) -> tuple[int, i
     return (lo, hi) if low <= b <= high else (lo, lo - 1)
 
 
-def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> EnumerationResult:
+def enumerate_candidates(j: int, params: Params) -> EnumerationResult:
     """All order candidates 2 w_2 from lattice vectors with |w| < 2**(m-1/2).
 
     If the reduced basis certifies that only multiples of s1 can be that
@@ -147,7 +147,7 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
     are enumerated, restricted to the top semicircle (w_2 >= 0) and to
     the coordinate box |w_1| < 2**(m-1), 0 < w_2 < 2**(m-1) that any
     true order vector satisfies.  The number of vectors visited is
-    hard-checked against the budget ceil(6 sqrt(3) 2**delta).
+    hard-checked against the budget ceil(6 sqrt(3) 2**delta), delta = m - ell.
 
     Each row m2 is counted, not walked.  With A = norm4(s1) and
     c = -m2 dot4(s1, s2), the Gram determinant gives
@@ -164,9 +164,7 @@ def enumerate_candidates(j: int, params: Params, delta: int | None = None) -> En
     from .bounds import enumeration_budget
 
     m = params.m
-    if delta is None:
-        delta = params.delta if params.delta is not None else max(0, m - params.ell)
-    budget = enumeration_budget(max(0, delta))
+    budget = enumeration_budget(max(0, m - params.ell))
     rb = lagrange_reduce(j, params)
     (x1, y1), (x2, y2) = rb.s1, rb.s2
     A = norm4(rb.s1)

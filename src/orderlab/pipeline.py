@@ -484,8 +484,9 @@ def factor_completely(
     needs the true order, which the harness computes classically; the
     post-processing stays blind), followed by classical gcd splitting
     driven by the recovered order.  Rejects even, prime, prime-power,
-    and trivially small N with guidance.  run_options are RunConfig
-    fields other than the register split m, ell, which N fixes.
+    and trivially small N with guidance.  run_options are the RunConfig
+    fields B, c, strategy, recovery and t_max; N fixes m and ell, and
+    delta stays m - ell.
     """
     if N <= 3 or N % 2 == 0:
         raise ValueError(f"N={N}: need an odd integer above 3")
@@ -500,7 +501,7 @@ def factor_completely(
     group = ModNGroup(N)
     g = group.random_element(rng)
     m, ell = _register_for_modulus(N)
-    config = RunConfig(m=m, ell=ell, **run_options)
+    config = RunConfig(m=m, ell=ell, delta=None, **run_options)
     r = true_order(N, g)
     outcome = run_once(group, g, r, config, rng)
     if not outcome.success:

@@ -185,7 +185,7 @@ def test_criterion_07_enumeration_contains_order():
             budget = enumeration_budget(delta)
             for z in range(r):
                 j = peak(z, p).j0 % p.two_n
-                res = enumerate_candidates(j, p, delta)
+                res = enumerate_candidates(j, p)
                 r_tilde = r // math.gcd(r, z)
                 assert r_tilde in res.candidates, (r, delta, z)
                 assert res.visited <= budget, (r, delta, z, res.visited)

@@ -94,6 +94,14 @@ class TestSimulate:
                      "--tmax", "16777216"])
         assert capsys.readouterr().out == implicit
 
+    def test_omitted_delta_is_m_minus_ell(self, capsys):
+        args = ["simulate", "--m", "12", "--ell", "10", "--strategy", "enumerate",
+                "--trials", "20", "--seed", "7"]
+        main(args)
+        implicit = capsys.readouterr().out
+        main(args + ["--delta", "2"])
+        assert capsys.readouterr().out.replace('"delta": 2', '"delta": null') == implicit
+
     def test_unknown_strategy_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(self.ARGS + ["--strategy", "newton"])

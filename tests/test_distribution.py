@@ -22,6 +22,7 @@ from orderlab.distribution import (
 )
 from orderlab.distribution import _unit_circle_tables
 from orderlab.model import Params, Rng, derive, frequency_argument, peak
+from orderlab.pipeline import RunConfig
 
 
 def rel_close(a, b, tol, floor=0.0):
@@ -225,15 +226,15 @@ class TestWindowMass:
 class TestSampler:
     def test_determinism(self):
         p = Params(r=13, m=4, ell=4)
-        s1 = Sampler(p)
-        s2 = Sampler(p)
+        s1 = Sampler(p, t_max=RunConfig.t_max)
+        s2 = Sampler(p, t_max=RunConfig.t_max)
         draws1 = [s1.sample(Rng(900 + i)) for i in range(30)]
         draws2 = [s2.sample(Rng(900 + i)) for i in range(30)]
         assert draws1 == draws2
 
     def test_draws_are_valid(self):
         p = Params(r=12, m=4, ell=4)
-        s = Sampler(p)
+        s = Sampler(p, t_max=RunConfig.t_max)
         rng = Rng(77)
         for _ in range(200):
             res = s.sample(rng)
@@ -256,7 +257,7 @@ class TestSampler:
     def test_exact_order_power_of_two(self):
         # r | 2**n: every draw must land exactly on its peak
         p = Params(r=8, m=4, ell=4)
-        s = Sampler(p)
+        s = Sampler(p, t_max=RunConfig.t_max)
         rng = Rng(9)
         for _ in range(100):
             res = s.sample(rng)
@@ -268,7 +269,7 @@ class TestSampler:
 
         p = Params(r=3, m=2, ell=10)
         n_draws = 100_000
-        s = Sampler(p)
+        s = Sampler(p, t_max=RunConfig.t_max)
         rng = Rng(20240817)
         counts = np.zeros(p.two_n + 1, dtype=np.int64)  # last slot: sampler tail
         for _ in range(n_draws):

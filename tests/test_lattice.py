@@ -3,8 +3,10 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import bounds
 from orderlab.bounds import enumeration_budget
 from orderlab.lattice import (
     EnumerationBudgetExceeded,
@@ -116,7 +118,7 @@ def brute_short_candidates(j: int, params: Params) -> set[int]:
 class TestEnumeration:
     def test_case1_returns_single_candidate(self):
         p = Params(r=13, m=4, ell=4)
-        res = enumerate_candidates(peak(1, p).j0, p, delta=0)
+        res = enumerate_candidates(peak(1, p).j0, p)
         assert res.case == 1
         assert res.candidates == [13]
         assert res.visited == 1
@@ -129,7 +131,7 @@ class TestEnumeration:
             delta = m - 1
         p = Params(r=r, m=m, ell=m - delta)
         j = data.draw(st.integers(0, p.two_n - 1))
-        res = enumerate_candidates(j, p, delta=delta)
+        res = enumerate_candidates(j, p)
         assert res.visited <= res.budget == enumeration_budget(delta)
         brute = brute_short_candidates(j, p)
         assert len(set(res.candidates)) == len(res.candidates)
@@ -167,10 +169,10 @@ def reference_lagrange_reduce(j: int, params: Params) -> ReducedBasis:
             return ReducedBasis(s1=v1, s2=v2, multiples=(u1, u2))
 
 
-def reference_enumerate_candidates(j: int, params: Params, delta: int) -> EnumerationResult:
+def reference_enumerate_candidates(j: int, params: Params) -> EnumerationResult:
     """Visit every vector of a padded range per row, deduplicating by a set."""
     m, n = params.m, params.n
-    budget = enumeration_budget(max(0, delta))
+    budget = bounds.enumeration_budget(max(0, m - params.ell))
     rb = reference_lagrange_reduce(j, params)
     A = norm4(rb.s1)
     if 1 << (2 * n) >= A << (2 * m - 1):
@@ -203,21 +205,27 @@ def reference_enumerate_candidates(j: int, params: Params, delta: int) -> Enumer
     return EnumerationResult(candidates=candidates, visited=visited, case=2, budget=budget)
 
 
-def enumeration_outcome(enumerate_fn, j: int, params: Params, delta: int):
-    try:
-        return enumerate_fn(j, params, delta)
-    except EnumerationBudgetExceeded as exc:
-        return ("budget", str(exc))
+def enumeration_outcome(enumerate_fn, j: int, params: Params, budget: int):
+    """The result of enumerate_fn, or its budget message, under the given
+    vector budget in place of that of m - ell.  The small geometries here
+    stay within the budget of their own m - ell, so only a smaller budget
+    runs the budget path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "enumeration_budget", lambda _: budget)
+        try:
+            return enumerate_fn(j, params)
+        except EnumerationBudgetExceeded as exc:
+            return ("budget", str(exc))
 
 
 class TestAgainstReference:
     """The closed-form rows and the bare-int reduction return exactly the
     per-vector reference's results, exceptions included."""
 
-    def assert_same(self, j: int, params: Params, delta: int):
+    def assert_same(self, j: int, params: Params, budget: int):
         assert lagrange_reduce(j, params) == reference_lagrange_reduce(j, params)
-        outcome = enumeration_outcome(enumerate_candidates, j, params, delta)
-        assert outcome == enumeration_outcome(reference_enumerate_candidates, j, params, delta)
+        outcome = enumeration_outcome(enumerate_candidates, j, params, budget)
+        assert outcome == enumeration_outcome(reference_enumerate_candidates, j, params, budget)
         return outcome
 
     @given(st.integers(2, 300), st.integers(0, 3), st.integers(0, 6), st.data())
@@ -227,12 +235,23 @@ class TestAgainstReference:
         # against a short register runs the budget path
         m = r.bit_length() + extra_bits
         p = Params(r=r, m=m, ell=data.draw(st.integers(1, m)))
-        self.assert_same(data.draw(st.integers(0, p.two_n - 1)), p, delta)
+        self.assert_same(data.draw(st.integers(0, p.two_n - 1)), p, enumeration_budget(delta))
 
     def test_every_frequency_of_one_geometry(self):
         p = Params(r=3, m=7, ell=3)
-        outcomes = [self.assert_same(j, p, delta) for delta in (0, 4) for j in range(p.two_n)]
+        outcomes = [
+            self.assert_same(j, p, enumeration_budget(delta)) for delta in (0, 4) for j in range(p.two_n)
+        ]
         assert {o[0] if isinstance(o, tuple) else o.case for o in outcomes} == {"budget", 1, 2}
+
+    def test_budget_boundary(self):
+        # a budget of exactly the vectors visited passes; one less raises
+        p = Params(r=3, m=7, ell=3)
+        j, visited = max(
+            ((j, enumerate_candidates(j, p).visited) for j in range(p.two_n)), key=lambda jv: jv[1]
+        )
+        assert isinstance(self.assert_same(j, p, visited), EnumerationResult)
+        assert self.assert_same(j, p, visited - 1)[0] == "budget"
 
     def test_near_peaks_at_128_bits(self):
         rnd = random.Random(20221)
@@ -241,4 +260,4 @@ class TestAgainstReference:
             p = Params(r=r, m=128, ell=120)
             j0 = peak(rnd.randrange(r), p).j0
             for offset in range(-10, 11):  # 210 frequencies in all
-                self.assert_same((j0 + offset) % p.two_n, p, 8)
+                self.assert_same((j0 + offset) % p.two_n, p, enumeration_budget(8))

@@ -139,7 +139,7 @@ class TestRunOnce:
     def test_budget_outcome(self, monkeypatch):
         import orderlab.pipeline as pipeline_mod
 
-        def explode(j, params, delta=None):
+        def explode(j, params):
             raise EnumerationBudgetExceeded("forced")
 
         monkeypatch.setattr(pipeline_mod.lattice, "enumerate_candidates", explode)
@@ -403,6 +403,8 @@ class TestFactorCompletely:
             factor_completely(13, seed=0)  # prime
         with pytest.raises(ValueError):
             factor_completely(3, seed=0)
+        with pytest.raises(TypeError):
+            factor_completely(15, seed=0, delta=3)  # N fixes the register split
 
     def test_small_semiprime_batch(self):
         import random
