@@ -102,7 +102,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_factor(args: argparse.Namespace) -> int:
     report = pipeline.factor_completely(
-        args.N, args.seed, args.split_iterations, **_run_options(args)
+        args.N, args.seed, split_iterations=args.split_iterations, **_run_options(args)
     )
     sys.stdout.write(pipeline.dumps_report(report.to_dict()) + "\n")
     return 0 if report.success else 1

@@ -476,7 +476,7 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
 
 
 def factor_completely(
-    N: int, seed: int, split_iterations: int = 32, **run_options
+    N: int, seed: int, *, split_iterations: int = 32, **run_options
 ) -> FactorReport:
     """Factor an odd composite N end to end.
 

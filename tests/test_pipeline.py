@@ -405,6 +405,8 @@ class TestFactorCompletely:
             factor_completely(3, seed=0)
         with pytest.raises(TypeError):
             factor_completely(15, seed=0, delta=3)  # N fixes the register split
+        with pytest.raises(TypeError):
+            factor_completely(15, 0, 10)  # run options are keyword-only
 
     def test_small_semiprime_batch(self):
         import random
