@@ -1,10 +1,12 @@
 """Analytic error terms and success-probability lower bounds.
 
-All bounds are evaluated in arbitrary-precision arithmetic and are
-reproducible to far below the five decimals published by the reference
-grid.  The small pure-real inequality oracles (trigamma, cosine) live
-here too, since the bound proofs lean on them and the tests exercise
-them directly.
+All bounds are evaluated in arbitrary-precision arithmetic at _PREC =
+128 bits, far finer than the five decimals of the reference grid,
+except the two pointwise bounds of one register, approx_error_bound and
+window_mass_lower_bound, which work at its width n plus 32 guard bits.
+The small pure-real inequality oracles (trigamma, cosine) live here
+too, since the bound proofs lean on them and the tests exercise them
+directly.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ REFERENCE_B_COLUMNS = (1, 10, 100, 1000, 10 ** 4, 10 ** 5)
 REFERENCE_C_ROWS = (1, 10, 25, 100, 250, 500, 1000)
 _REFERENCE_M = 128
 _REFERENCE_ELL = 128
+_PREC = 128
 
 
-def relative_error_bound(B: int, prec: int = 96) -> mpmath.mpf:
+def relative_error_bound(B: int, prec: int = _PREC) -> mpmath.mpf:
     """Upper bound on the relative mass missed outside a width-B window:
 
         (1/pi^2) * (2/B + 1/B^2 + 1/(3 B^3)).
@@ -36,7 +39,7 @@ def relative_error_bound(B: int, prec: int = 96) -> mpmath.mpf:
         return (2 / b + 1 / b ** 2 + 1 / (3 * b ** 3)) / mpmath.pi ** 2
 
 
-def approx_error_bound(params: Params, variant: str = "strict", prec: int | None = None) -> mpmath.mpf:
+def approx_error_bound(params: Params, variant: str = "strict") -> mpmath.mpf:
     """Pointwise bound on |P - approx_prob|.
 
     'strict' keeps the width-dependent second term,
@@ -44,7 +47,7 @@ def approx_error_bound(params: Params, variant: str = "strict", prec: int | None
     'loose' is the simpler envelope pi^2 / 2**n.  Both are exposed
     because consumers trade tightness for simplicity differently.
     """
-    with mpmath.workprec(prec or params.n + 32):
+    with mpmath.workprec(params.n + 32):
         scale = mpmath.mpf(2) ** (-params.n)
         if variant == "loose":
             return mpmath.pi ** 2 * scale
@@ -53,24 +56,21 @@ def approx_error_bound(params: Params, variant: str = "strict", prec: int | None
         raise ValueError(f"unknown variant {variant!r}")
 
 
-def window_mass_lower_bound(params: Params, B: int | None = None, prec: int | None = None) -> mpmath.mpf:
+def window_mass_lower_bound(params: Params, B: int) -> mpmath.mpf:
     """Guaranteed mass of the 2B+1 frequencies nearest to any one peak:
 
         (1/r) (1 - relative_error_bound(B)) - pi^2 (2B+1) / 2**n.
     """
-    B = B if B is not None else params.B
-    if B is None:
-        raise ParameterError("B required (set params.B or pass explicitly)")
-    with mpmath.workprec(prec or params.n + 32):
-        eps = relative_error_bound(B, prec or params.n + 32)
+    with mpmath.workprec(params.n + 32):
+        eps = relative_error_bound(B, params.n + 32)
         return (1 - eps) / params.r - mpmath.pi ** 2 * (2 * B + 1) / mpmath.mpf(params.two_n)
 
 
-def smoothness_bound(c: float, m: int, prec: int = 96) -> mpmath.mpf:
+def smoothness_bound(c: float, m: int) -> mpmath.mpf:
     """Lower bound 1 - 1/(c log2(c m)) on drawing a c*m-smooth cofactor."""
     if c < 1 or c * m < 2:
         raise ParameterError(f"need c >= 1 and c*m >= 2, got c={c}, m={m}")
-    with mpmath.workprec(prec):
+    with mpmath.workprec(_PREC):
         return 1 - 1 / (c * mpmath.log(mpmath.mpf(c) * m, 2))
 
 
@@ -86,7 +86,7 @@ def _order_term(m: int, ell: int, B: int, elimination: str) -> mpmath.mpf:
 
 
 def single_run_success_bound(
-    m: int, ell: int, B: int, c: float, elimination: str = "sqrt", prec: int = 128
+    m: int, ell: int, B: int, c: float, elimination: str = "sqrt"
 ) -> mpmath.mpf:
     """Lower bound on one run recovering the order:
 
@@ -96,9 +96,9 @@ def single_run_success_bound(
     below the square root of the register range) or rho = 2**(-ell)
     ('pow2ell', suited to the reduced-register lattice route).
     """
-    with mpmath.workprec(prec):
-        first = 1 - relative_error_bound(B, prec) - _order_term(m, ell, B, elimination)
-        return first * smoothness_bound(c, m, prec)
+    with mpmath.workprec(_PREC):
+        first = 1 - relative_error_bound(B) - _order_term(m, ell, B, elimination)
+        return first * smoothness_bound(c, m)
 
 
 def enumeration_budget(delta: int) -> int:
@@ -109,9 +109,7 @@ def enumeration_budget(delta: int) -> int:
     s = math.isqrt(v)
     return s + 1  # 108 * 4**delta is never a perfect square
 
-def lattice_success_bound(
-    m: int, delta: int, B: int, c: float, prec: int = 128
-) -> tuple[mpmath.mpf, int]:
+def lattice_success_bound(m: int, delta: int, B: int, c: float) -> tuple[mpmath.mpf, int]:
     """Success bound and vector budget for the reduced register ell = m - delta.
 
     Returns (bound, budget): the single-run bound with rho = 2**(-ell),
@@ -121,7 +119,7 @@ def lattice_success_bound(
     if ell < 1:
         raise ParameterError(f"delta={delta} leaves no fractional register (m={m})")
     return (
-        single_run_success_bound(m, ell, B, c, elimination="pow2ell", prec=prec),
+        single_run_success_bound(m, ell, B, c, elimination="pow2ell"),
         enumeration_budget(delta),
     )
 
@@ -134,7 +132,6 @@ def factoring_success_bound(
     B: int,
     c: float,
     delta: int | None = None,
-    prec: int = 128,
 ) -> mpmath.mpf:
     """Lower bound on completely factoring an odd l-bit integer with
     n_primes distinct prime factors in a single order-finding run plus
@@ -150,24 +147,19 @@ def factoring_success_bound(
     m = l - 1
     if m < 2:
         raise ParameterError(f"modulus bit length l={l} too small")
-    with mpmath.workprec(prec):
-        if delta is None:
-            ell = m
-            order_term = _order_term(m, ell, B, "sqrt")
-        else:
-            ell = m - delta
-            if ell < 1:
-                raise ParameterError(f"delta={delta} too large for l={l}")
-            order_term = _order_term(m, ell, B, "pow2ell")
-        first = 1 - relative_error_bound(B, prec) - order_term
-        second = smoothness_bound(c, m, prec)
-        pairs = n_primes * (n_primes - 1) // 2
-        third = (
+    if delta is None:
+        ell, elimination = m, "sqrt"
+    else:
+        ell, elimination = m - delta, "pow2ell"
+        if ell < 1:
+            raise ParameterError(f"delta={delta} too large for l={l}")
+    pairs = n_primes * (n_primes - 1) // 2
+    with mpmath.workprec(_PREC):
+        return single_run_success_bound(m, ell, B, c, elimination) * (
             1
             - mpmath.mpf(2) ** (-k) * pairs
             - 1 / (2 * mpmath.mpf(sigma) ** 2 * mpmath.log(mpmath.mpf(sigma) * l, 2) ** 2)
         )
-        return first * second * third
 
 
 def floor_decimals(x: mpmath.mpf, places: int = 5) -> str:
@@ -177,7 +169,7 @@ def floor_decimals(x: mpmath.mpf, places: int = 5) -> str:
     return f"{v // scale}.{v % scale:0{places}d}"
 
 
-def success_bound_table(prec: int = 192) -> list[list[str]]:
+def success_bound_table() -> list[list[str]]:
     """The bundled 7x6 reference grid of single-run success bounds.
 
     Rows are c in REFERENCE_C_ROWS, columns B in REFERENCE_B_COLUMNS,
@@ -188,7 +180,7 @@ def success_bound_table(prec: int = 192) -> list[list[str]]:
     for c in REFERENCE_C_ROWS:
         row = [
             floor_decimals(
-                single_run_success_bound(_REFERENCE_M, _REFERENCE_ELL, B, c, "sqrt", prec)
+                single_run_success_bound(_REFERENCE_M, _REFERENCE_ELL, B, c, "sqrt")
             )
             for B in REFERENCE_B_COLUMNS
         ]
@@ -228,20 +220,20 @@ def trigamma_reference(x: float, terms: int = 10 ** 6) -> float:
     return partial + 1.0 / (x + terms)
 
 
-def window_inverse_square_sum(alpha0, r: int, B: int, prec: int = 128) -> mpmath.mpf:
+def window_inverse_square_sum(alpha0, r: int, B: int) -> mpmath.mpf:
     """Direct evaluation of sum_{t=-B..B} (alpha0 + r t)^-2."""
-    with mpmath.workprec(prec):
+    with mpmath.workprec(_PREC):
         a = mpmath.mpf(alpha0)
         return mpmath.fsum(1 / (a + r * t) ** 2 for t in range(-B, B + 1))
 
 
-def window_inverse_square_closed(alpha0, r: int, B: int, prec: int = 128) -> mpmath.mpf:
+def window_inverse_square_closed(alpha0, r: int, B: int) -> mpmath.mpf:
     """Closed form of the same window sum via trigamma:
 
         (1/r^2) [ 2 pi^2 / (1 - cos(2 pi alpha0 / r))
                   - trigamma(1 + B + alpha0/r) - trigamma(1 + B - alpha0/r) ].
     """
-    with mpmath.workprec(prec):
+    with mpmath.workprec(_PREC):
         a = mpmath.mpf(alpha0) / r
         full = 2 * mpmath.pi ** 2 / (1 - mpmath.cospi(2 * a))
         tails = mpmath.polygamma(1, 1 + B + a) + mpmath.polygamma(1, 1 + B - a)
@@ -291,8 +283,6 @@ def carmichael_check(factorization: dict[int, int]) -> bool:
     n = len(factorization)
     if n < 2:
         raise ParameterError("need at least two distinct prime factors")
-    N = 1
-    for p, e in factorization.items():
-        N *= p ** e
+    N = math.prod(p ** e for p, e in factorization.items())
     lam = carmichael_value(factorization)
     return (1 << (n - 1)) * lam < N

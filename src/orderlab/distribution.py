@@ -105,12 +105,7 @@ def approx_prob(alpha: int, params: Params, prec: int | None = None) -> mpmath.m
         raise ValueError("approximation is defined for nonzero arguments only")
     with mpmath.workprec(prec or default_prec(params)):
         r = params.r
-        k = abs(alpha) % r
-        k = min(k, r - k)
-        if k == 0:
-            return mpmath.mpf(0)
-        s = mpmath.sinpi(mpmath.mpf(k) / r) ** 2
-        return r * s / (mpmath.pi * alpha) ** 2
+        return r * _folded_sin2(alpha, r) / (mpmath.pi * alpha) ** 2
 
 
 def envelope(alpha: int, params: Params, prec: int | None = None) -> mpmath.mpf:
@@ -124,13 +119,7 @@ def envelope(alpha: int, params: Params, prec: int | None = None) -> mpmath.mpf:
     N = params.two_n
     with mpmath.workprec(prec or default_prec(params)):
         r = params.r
-        k = abs(alpha) % r
-        k = min(k, r - k)
-        if k == 0:
-            return mpmath.mpf(0)
-        s_num = mpmath.sinpi(mpmath.mpf(k) / r) ** 2
-        s_den = _folded_sin2(abs(alpha), N)
-        return r * s_num / (s_den * N * N)
+        return r * _folded_sin2(alpha, r) / (_folded_sin2(abs(alpha), N) * N * N)
 
 
 def _require_vector_width(params: Params):

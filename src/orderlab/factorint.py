@@ -22,6 +22,7 @@ _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT - 1))
 # (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
 _MR_BASES = _SMALL_PRIMES[:13]  # 2 .. 41
 _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_SEEDED_ROUNDS = 64
 _DEFAULT_RHO_BUDGET = 1 << 24
 
 
@@ -29,13 +30,13 @@ class FactorizationTimeout(RuntimeError):
     """The factorization work budget ran out before completion."""
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Below 3,317,044,064,679,887,385,961,981 the bases are the 13 primes
     2 .. 41, which make the verdict exact there.  From that bound up,
-    `rounds` bases are drawn from a stream seeded by n itself, so
-    verdicts are deterministic per input.
+    _MR_SEEDED_ROUNDS = 64 bases are drawn from a stream seeded by n
+    itself, so verdicts are deterministic per input.
     """
     if n < 2:
         return False
@@ -49,7 +50,7 @@ def is_probable_prime(n: int, rounds: int = 64) -> bool:
         bases = _MR_BASES
     else:
         rng = random.Random(n ^ 0x9E3779B97F4A7C15)
-        bases = (rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = (rng.randrange(2, n - 1) for _ in range(_MR_SEEDED_ROUNDS))
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -188,9 +189,3 @@ def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
         stack.append(v // f)
     return out
 
-
-def factorization_product(factorization: dict[int, int]) -> int:
-    v = 1
-    for p, e in factorization.items():
-        v *= p ** e
-    return v

@@ -41,21 +41,17 @@ def signed_residue(u: int, modulus: int) -> int:
 
 @dataclass(frozen=True)
 class Params:
-    """Instance parameters: order r, register split m + ell, window B, slack c.
+    """Instance parameters: order r, register split m + ell, window B.
 
     Invariants enforced on construction:
       r >= 2 and 2**m > r, ell >= 1;
-      B (if set) satisfies 1 <= B < B_max, i.e. r*(2B+1) < 2**(m+ell);
-      c (if set) satisfies c >= 1;
-      delta (if set) equals m - ell and is >= 0.
+      B (if set) satisfies 1 <= B < B_max, i.e. r*(2B+1) < 2**(m+ell).
     """
 
     r: int
     m: int
     ell: int
     B: int | None = None
-    c: float | None = None
-    delta: int | None = None
 
     def __post_init__(self):
         if self.r < 2:
@@ -72,13 +68,6 @@ class Params:
                 raise ParameterError(
                     f"B={self.B} reaches past the peak spacing for r={self.r}, "
                     f"m={self.m}, ell={self.ell}"
-                )
-        if self.c is not None and self.c < 1:
-            raise ParameterError(f"c must be >= 1, got {self.c}")
-        if self.delta is not None:
-            if self.delta != self.m - self.ell or self.delta < 0:
-                raise ParameterError(
-                    f"delta={self.delta} inconsistent with m-ell={self.m - self.ell}"
                 )
 
     @property

@@ -60,7 +60,8 @@ class RunConfig:
     """Configuration of one order-finding run.
 
     strategy is a key of STRATEGIES and recovery a key of
-    recovery._RECOVERY.  delta = None means m - ell.
+    recovery._RECOVERY.  delta = None means m - ell; any other value
+    must equal m - ell.
     """
 
     m: int
@@ -83,6 +84,10 @@ class RunConfig:
             raise ValueError(f"ell must be >= 2, got {self.ell}")
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
+        if self.c < 1:
+            raise ValueError(f"c must be >= 1, got {self.c}")
+        if self.delta is not None and (self.delta != self.m - self.ell or self.delta < 0):
+            raise ValueError(f"delta={self.delta} inconsistent with m-ell={self.m - self.ell}")
         if self.t_max < self.B:
             raise ValueError(f"t_max={self.t_max} below window B={self.B}")
 
@@ -135,14 +140,7 @@ def run_once(
     # (small factoring moduli) clamp the requested half-width
     n_reg = 1 << (config.m + config.ell)
     b_eff = min(config.B, (n_reg - true_r) // (2 * true_r))
-    params = Params(
-        r=true_r,
-        m=config.m,
-        ell=config.ell,
-        B=b_eff,
-        c=config.c,
-        delta=config.delta,
-    )
+    params = Params(r=true_r, m=config.m, ell=config.ell, B=b_eff)
     meter = recovery.ExponentMeter()
     sampler = sampler or Sampler(params, t_max=config.t_max)
     drawn = sampler.sample(rng)
@@ -323,30 +321,22 @@ def dumps_report(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-MONTE_CARLO_CSV_COLUMNS = [
-    "m", "ell", "B", "c", "delta", "strategy", "recovery", "t_max", "seed",
-    "trials", "successes", "rate", "wilson99_low", "wilson99_high",
-    "bound", "slack", "pass",
-    "fail_tail", "fail_no_candidate", "fail_unsmooth_d", "fail_budget",
-    "exponent_bits_mean", "exponent_bits_max",
-]
-
-
 def report_to_csv(report: MonteCarloReport) -> str:
-    """Header plus one data row, columns as in MONTE_CARLO_CSV_COLUMNS."""
-    d = report.to_dict()
-    row = [
-        d["config"]["m"], d["config"]["ell"], d["config"]["B"], d["config"]["c"],
-        "" if d["config"]["delta"] is None else d["config"]["delta"],
-        d["config"]["strategy"], d["config"]["recovery"], d["config"]["t_max"],
-        d["config"]["seed"], d["trials"], d["successes"], d["rate"],
-        d["wilson99"][0], d["wilson99"][1], d["bound"], d["slack"], d["pass"],
-        d["failure_counts"]["tail"], d["failure_counts"]["no_candidate"],
-        d["failure_counts"]["unsmooth_d"], d["failure_counts"]["budget"],
-        d["exponent_bits"]["mean"], d["exponent_bits"]["max"],
-    ]
-    cells = [_format_number(v) if isinstance(v, (bool, int, float)) else str(v) for v in row]
-    return ",".join(MONTE_CARLO_CSV_COLUMNS) + "\n" + ",".join(cells) + "\n"
+    """Header plus one data row: the fields of to_dict() in their order,
+    with config's keys bare, the nested counts prefixed (fail_ for the
+    failure counts) and the interval split into wilson99_low/high."""
+    row = {}
+    for key, value in report.to_dict().items():
+        if key == "wilson99":
+            row["wilson99_low"], row["wilson99_high"] = value
+        elif isinstance(value, dict):
+            prefix = {"config": "", "failure_counts": "fail_"}.get(key, key + "_")
+            row.update({prefix + k: v for k, v in value.items()})
+        else:
+            row[key] = value
+    cells = ("" if v is None else v if isinstance(v, str) else _format_number(v)
+             for v in row.values())
+    return ",".join(row) + "\n" + ",".join(cells) + "\n"
 
 
 def true_order(N: int, g: int) -> int:
@@ -504,33 +494,17 @@ def factor_completely(
     config = RunConfig(m=m, ell=ell, delta=None, **run_options)
     r = true_order(N, g)
     outcome = run_once(group, g, r, config, rng)
-    if not outcome.success:
-        return FactorReport(
-            N=N,
-            success=False,
-            order=outcome.recovered,
-            factors=None,
-            reason=outcome.reason,
-            seed=seed,
-            split_iterations=split_iterations,
-        )
-    factors = _split_with_order(N, outcome.recovered, rng, split_iterations)
-    if factors is None:
-        return FactorReport(
-            N=N,
-            success=False,
-            order=outcome.recovered,
-            factors=None,
-            reason="split_incomplete",
-            seed=seed,
-            split_iterations=split_iterations,
-        )
+    factors, reason = None, outcome.reason
+    if outcome.success:
+        factors = _split_with_order(N, outcome.recovered, rng, split_iterations)
+        if factors is None:
+            reason = "split_incomplete"
     return FactorReport(
         N=N,
-        success=True,
+        success=factors is not None,
         order=outcome.recovered,
         factors=factors,
-        reason=None,
+        reason=reason,
         seed=seed,
         split_iterations=split_iterations,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import types
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -235,66 +235,46 @@ def recover_order_tree(
     return d * r_tilde
 
 
-@dataclass
-class FilterState:
-    """Reusable state for candidate filtering.
-
-    x is g raised to the full smooth exponent; mu accumulates a
-    shrinking multiple of the order (0 until the first acceptance), so
-    later candidates are tested through the usually-much-smaller
-    exponent gcd(candidate, mu).  Exact-value caches short-circuit
-    repeated candidates and repeated dismissed reductions; nothing is
-    ever evicted.
-    """
-
-    x: object
-    mu: int = 0
-    accepted: set[int] = field(default_factory=set)
-    dismissed: set[int] = field(default_factory=set)
-
-
-def make_filter_state(
-    group, g, ctx: SmoothnessContext, meter: ExponentMeter | None = None
-) -> FilterState:
-    return FilterState(x=_pow(group, g, ctx.smooth_exponent, meter))
-
-
 def filter_candidates(
     group,
     g,
     candidates,
     ctx: SmoothnessContext,
     meter: ExponentMeter | None = None,
-    state: FilterState | None = None,
-) -> tuple[list[int], FilterState]:
+) -> tuple[list[int], int]:
     """Keep the candidates r~ in [1, 2**m) with x**r~ = identity,
     where x = g to the full smooth exponent.
 
     A candidate passes exactly when the order divides r~ times a smooth
     cofactor, so every surviving candidate is worth running recovery on.
-    Because mu stays a multiple of the order, testing the reduced
-    exponent gcd(r~, mu) accepts and rejects the same candidates as
-    testing r~ itself.  Survivors are returned deduplicated in
-    first-seen order, together with the (reusable) state.
+    mu accumulates a shrinking multiple of the order (0 until the first
+    acceptance), and later candidates are tested through the
+    usually-much-smaller exponent gcd(r~, mu).  Because mu stays a
+    multiple of the order, that accepts and rejects the same candidates
+    as testing r~ itself.  Repeated candidates and repeated dismissed
+    reductions are skipped.  Returns the survivors, deduplicated in
+    first-seen order, and the final mu.
     """
-    if state is None:
-        state = make_filter_state(group, g, ctx, meter)
+    x = _pow(group, g, ctx.smooth_exponent, meter)
+    mu = 0
+    accepted: set[int] = set()
+    dismissed: set[int] = set()
     survivors: list[int] = []
     for cand in candidates:
         if not 1 <= cand < (1 << ctx.m):
             continue
-        if cand in state.accepted:
+        if cand in accepted:
             continue
-        reduced = math.gcd(cand, state.mu) if state.mu else cand
-        if reduced in state.dismissed:
+        reduced = math.gcd(cand, mu) if mu else cand
+        if reduced in dismissed:
             continue
-        if group.is_identity(_pow(group, state.x, reduced, meter)):
-            state.accepted.add(cand)
-            state.mu = math.gcd(cand * ctx.smooth_exponent, state.mu)
+        if group.is_identity(_pow(group, x, reduced, meter)):
+            accepted.add(cand)
+            mu = math.gcd(cand * ctx.smooth_exponent, mu)
             survivors.append(cand)
         else:
-            state.dismissed.add(reduced)
-    return survivors, state
+            dismissed.add(reduced)
+    return survivors, mu
 
 
 _RECOVERY = {

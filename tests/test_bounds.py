@@ -76,14 +76,6 @@ class TestWindowMassLowerBound:
         for z in range(r):
             assert float(window_mass(z, p, B)) >= bound
 
-    def test_uses_params_B(self):
-        p = Params(r=5, m=3, ell=5, B=2)
-        assert window_mass_lower_bound(p) == window_mass_lower_bound(p, 2)
-
-    def test_requires_B(self):
-        with pytest.raises(ParameterError):
-            window_mass_lower_bound(Params(r=5, m=3, ell=5))
-
 
 class TestScalarBounds:
     def test_smoothness_bound_value(self):

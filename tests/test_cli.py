@@ -7,8 +7,6 @@ import pytest
 from orderlab.bounds import (
     REFERENCE_B_COLUMNS,
     REFERENCE_C_ROWS,
-    enumeration_budget,
-    single_run_success_bound,
     success_bound_table,
 )
 from orderlab.cli import main
@@ -17,20 +15,20 @@ from orderlab.cli import main
 class TestBound:
     def test_single_run(self, capsys):
         assert main(["bound", "--m", "128", "--ell", "128", "--B", "10", "--c", "10"]) == 0
-        out = capsys.readouterr().out.strip()
-        want = format(float(single_run_success_bound(128, 128, 10, 10)), ".12g")
-        assert out == want
+        assert capsys.readouterr().out == "0.969207130783\n"
 
     def test_enumeration_variant(self, capsys):
         assert main(["bound", "--m", "32", "--delta", "4", "--B", "3", "--c", "25"]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == f"enumeration_budget: {enumeration_budget(4)}"
-        float(lines[1])  # parses as a number
+        assert capsys.readouterr().out == "enumeration_budget: 167\n0.916127832165\n"
 
     def test_factoring_variant(self, capsys):
         code = main(["bound", "--l", "2048", "--k", "8", "--B", "1000", "--c", "25"])
         assert code == 0
-        float(capsys.readouterr().out.strip())
+        assert capsys.readouterr().out == "0.993342013656\n"
+
+    def test_factoring_reduced_register(self, capsys):
+        assert main(["bound", "--l", "64", "--delta", "4", "--B", "10", "--c", "25"]) == 0
+        assert capsys.readouterr().out == "0.974043925691\n"
 
     def test_missing_register_is_usage_error(self, capsys):
         assert main(["bound"]) == 2

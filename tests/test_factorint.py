@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from orderlab import factorint
 from orderlab.factorint import (
     FactorizationTimeout,
-    factorization_product,
     factorize,
     iroot,
     is_probable_prime,
@@ -156,7 +155,7 @@ class TestFactorize:
     @settings(max_examples=300)
     def test_product_and_primality(self, n):
         f = factorize(n)
-        assert factorization_product(f) == n
+        assert math.prod(p ** e for p, e in f.items()) == n
         assert all(is_probable_prime(p) for p in f)
         assert all(e >= 1 for e in f.values())
 
@@ -199,7 +198,7 @@ class TestFactorize:
             a, b = rnd.sample(band, 2)
             cases += [{a: 1, b: 1}, {a: 2}, {a: 3}, {a: 2, b: 1}]
         for want in cases:
-            assert factorize(factorization_product(want)) == want
+            assert factorize(math.prod(p ** e for p, e in want.items())) == want
 
     def test_cofactor_just_above_table(self):
         assert factorize(1031) == {1031: 1}
@@ -217,11 +216,3 @@ class TestFactorize:
         a, b = 1099511627791, 1099511627803
         with pytest.raises(FactorizationTimeout):
             factorize(a * b, rho_budget=100)
-
-
-class TestFactorizationProduct:
-    def test_empty(self):
-        assert factorization_product({}) == 1
-
-    def test_example(self):
-        assert factorization_product({2: 3, 7: 2}) == 392

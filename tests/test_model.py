@@ -72,10 +72,6 @@ class TestParams:
             Params(r=6, m=4, ell=4, B=0)
         with pytest.raises(ParameterError):
             Params(r=6, m=4, ell=1, B=3)  # r(2B+1) = 42 >= 32
-        with pytest.raises(ParameterError):
-            Params(r=6, m=4, ell=4, c=0.5)
-        with pytest.raises(ParameterError):
-            Params(r=6, m=4, ell=2, delta=1)  # delta must equal m - ell
 
     def test_derive_identities(self):
         for r in range(2, 64):

@@ -15,7 +15,6 @@ from orderlab.lattice import EnumerationBudgetExceeded
 from orderlab.model import Params, Rng, SimulatedGroup, peak
 from orderlab.pipeline import (
     FAILURE_REASONS,
-    MONTE_CARLO_CSV_COLUMNS,
     STRATEGIES,
     FactorReport,
     RunConfig,
@@ -60,6 +59,10 @@ class TestRunConfig:
             RunConfig(m=8, ell=8, B=4, c=10, t_max=2)
         with pytest.raises(ValueError, match="ell"):
             RunConfig(m=4, ell=1, B=1, c=2)
+        with pytest.raises(ValueError, match="c must be >= 1"):
+            RunConfig(m=8, ell=8, c=0.5)
+        with pytest.raises(ValueError, match="delta=3 inconsistent with m-ell=0"):
+            RunConfig(m=8, ell=8, delta=3)
 
 
 class TestRunOnce:
@@ -277,8 +280,14 @@ class TestReportSerialization:
         text = report_to_csv(rep)
         lines = text.strip().split("\n")
         assert len(lines) == 2
-        assert lines[0].split(",") == MONTE_CARLO_CSV_COLUMNS
-        assert len(lines[1].split(",")) == len(MONTE_CARLO_CSV_COLUMNS)
+        assert lines[0].split(",") == [
+            "m", "ell", "B", "c", "delta", "strategy", "recovery", "t_max", "seed",
+            "trials", "successes", "rate", "wilson99_low", "wilson99_high",
+            "bound", "slack", "pass",
+            "fail_tail", "fail_no_candidate", "fail_unsmooth_d", "fail_budget",
+            "exponent_bits_mean", "exponent_bits_max",
+        ]
+        assert len(lines[1].split(",")) == 23
 
 
 class TestGoldenReports:
@@ -433,3 +442,18 @@ class TestFactorCompletely:
         assert d["N"] == 15
         assert d["factors"] == {"3": 1, "5": 1}
         assert isinstance(rep, FactorReport)
+
+    @pytest.mark.parametrize(
+        "N, seed, split_iterations, want",
+        [
+            (3233, 3, 32, '{"N": 3233, "success": true, "order": 52, "factors": {"53": 1'
+                          ', "61": 1}, "reason": null, "seed": 3, "split_iterations": 32}'),
+            (10403, 22, 32, '{"N": 10403, "success": false, "order": 392700, "factors": null'
+                            ', "reason": "unsmooth_d", "seed": 22, "split_iterations": 32}'),
+            (3233, 3, 0, '{"N": 3233, "success": false, "order": 52, "factors": null'
+                         ', "reason": "split_incomplete", "seed": 3, "split_iterations": 0}'),
+        ],
+    )
+    def test_golden_report(self, N, seed, split_iterations, want):
+        rep = factor_completely(N, seed, split_iterations=split_iterations)
+        assert dumps_report(rep.to_dict()) == want

@@ -13,7 +13,6 @@ from orderlab.recovery import (
     exponent_length,
     filter_candidates,
     filter_exponent_budget,
-    make_filter_state,
     multiple_recovery_exponent_budget,
     primes_up_to,
     recover_multiple,
@@ -224,7 +223,7 @@ class TestFilter:
         ctx = SmoothnessContext.build(2, 5)  # cm = 10, covers cofactors of 20
         g = group.generator()
         candidates = list(range(-3, 40))
-        survivors, state = filter_candidates(group, g, candidates, ctx)
+        survivors, mu = filter_candidates(group, g, candidates, ctx)
         x = group.pow(g, ctx.smooth_exponent)
         want = [
             cand
@@ -233,7 +232,7 @@ class TestFilter:
             and group.is_identity(group.pow(x, cand))
         ]
         assert survivors == want
-        assert state.mu > 0
+        assert mu > 0
 
     def test_vacuous_when_order_is_smooth(self):
         # order 20 divides the smooth exponent, so x is the identity and
@@ -249,11 +248,14 @@ class TestFilter:
         group = SimulatedGroup(220)
         ctx = SmoothnessContext.build(2, 5)
         g = group.generator()
-        survivors1, state = filter_candidates(group, g, [11, 11, 22, 3], ctx)
-        assert survivors1 == [11, 22]
-        # accepted candidates are not re-reported on the same state
-        survivors2, _ = filter_candidates(group, g, [11, 5, 22, 7], ctx, state=state)
-        assert survivors2 == []
+        survivors, _ = filter_candidates(group, g, [11, 11, 22, 3], ctx)
+        assert survivors == [11, 22]
+        # within one call, a repeated candidate and a repeated dismissed
+        # reduction cost no further power: one for x, then 11, 22 and 3
+        meter = ExponentMeter()
+        survivors, _ = filter_candidates(group, g, [11, 3, 22, 11, 3], ctx, meter)
+        assert survivors == [11, 22]
+        assert meter.operations == 4
 
     def test_mu_reduction_preserves_verdicts(self):
         group = SimulatedGroup(360)
