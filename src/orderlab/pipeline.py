@@ -21,7 +21,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import bounds, cf, lattice, recovery
 from .distribution import Sampler
@@ -34,23 +34,32 @@ FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 
 class Strategy(NamedTuple):
-    """A solver strategy: the order candidates of one frequency offset, and
-    the elimination mode of the analytic bound that covers it."""
+    """A solver strategy: the order candidates of each offset of the window
+    j-B..j+B, yielded one offset at a time so that one list is live at
+    once, and the elimination mode of the analytic bound covering it."""
 
-    candidates: Callable[[int, Params], list[int]]
+    candidates: Callable[[int, Params], Iterator[list[int]]]
     elimination: str
+
+
+def _window(j: int, params: Params) -> list[int]:
+    """The offsets (j + k) mod 2**n of the window, k = -B..B."""
+    return [(j + k) % params.two_n for k in range(-params.B, params.B + 1)]
 
 
 # Each entry looks its solver up through this module's `cf` and `lattice`
 # names at call time, so a wrapper installed on those names sees every call.
 STRATEGIES = {
-    # the last continued-fraction convergent below 2**(n/2)
-    "cf": Strategy(lambda o, params: [cf.solve_cf(o, params)], "sqrt"),
+    # the last continued-fraction convergent below 2**(n/2), one Euclid run per window
+    "cf": Strategy(lambda j, p: ([q] for q in cf.solve_cf_window(j, p.B, p)), "sqrt"),
     # the shortest vector of the reduced frequency lattice
-    "lattice": Strategy(lambda o, params: [lattice.solve_shortest(o, params)], "sqrt"),
+    "lattice": Strategy(
+        lambda j, p: ([lattice.solve_shortest(o, p)] for o in _window(j, p)), "sqrt"
+    ),
     # every short lattice vector, with the reduced register ell = m - delta
     "enumerate": Strategy(
-        lambda o, params: lattice.enumerate_candidates(o, params).candidates, "pow2ell"
+        lambda j, p: (lattice.enumerate_candidates(o, p).candidates for o in _window(j, p)),
+        "pow2ell",
     ),
 }
 
@@ -105,11 +114,8 @@ class RunOutcome:
 
 def _candidates_for(j: int, params: Params, strategy: str) -> list[int]:
     """The distinct candidates of the offsets j-B..j+B, in first-seen order."""
-    solve = STRATEGIES[strategy].candidates
-    N = params.two_n
-    return list(dict.fromkeys(
-        cand for k in range(-params.B, params.B + 1) for cand in solve((j + k) % N, params)
-    ))
+    per_offset = STRATEGIES[strategy].candidates(j, params)
+    return list(dict.fromkeys(cand for cands in per_offset for cand in cands))
 
 
 @functools.cache

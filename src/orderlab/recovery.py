@@ -39,8 +39,11 @@ class SmoothnessContext:
     """Primes q <= c*m with their capped exponents e_q = floor(log_q(c*m)).
 
     smooth_exponent is the product of all q**e_q: the largest integer
-    whose prime powers all stay within the smoothness bound.  Contexts
-    are shared between runs, so exponents is a read-only mapping.
+    whose prime powers all stay within the smoothness bound.  split_tree
+    halves the primes recursively for tree recovery: a leaf is (q,), an
+    inner node (d_left, left, d_right, right), where each half's d is
+    the product of the other half's full prime powers.  Contexts are
+    shared between runs, so exponents is a read-only mapping.
     """
 
     c: float
@@ -49,6 +52,7 @@ class SmoothnessContext:
     primes: tuple[int, ...]
     exponents: Mapping[int, int]
     smooth_exponent: int
+    split_tree: tuple
 
     @classmethod
     def build(cls, c: float, m: int) -> "SmoothnessContext":
@@ -74,6 +78,7 @@ class SmoothnessContext:
             primes=primes,
             exponents=types.MappingProxyType(exponents),
             smooth_exponent=smooth,
+            split_tree=_split_tree(primes, exponents),
         )
 
     @property
@@ -82,6 +87,17 @@ class SmoothnessContext:
         cm = Fraction(self.c) * self.m
         cm_ceil = -((-cm.numerator) // cm.denominator)
         return (cm_ceil - 1).bit_length()
+
+
+def _split_tree(qs: tuple[int, ...], exponents: Mapping[int, int]) -> tuple:
+    if len(qs) == 1:
+        return qs
+    half = len(qs) // 2
+    left, right = qs[:half], qs[half:]
+    return (
+        math.prod(q ** exponents[q] for q in right), _split_tree(left, exponents),
+        math.prod(q ** exponents[q] for q in left), _split_tree(right, exponents),
+    )
 
 
 def exponent_length(k: int) -> int:
@@ -211,19 +227,16 @@ def recover_order_tree(
         return None
     x = _pow(group, g, r_tilde, meter)
 
-    def split(x, qs: tuple[int, ...]):
-        if len(qs) == 1:
-            return [(qs[0], x)]
-        half = len(qs) // 2
-        left, right = qs[:half], qs[half:]
-        d_left = math.prod(q ** ctx.exponents[q] for q in right)
-        d_right = math.prod(q ** ctx.exponents[q] for q in left)
+    def split(x, node: tuple):
+        if len(node) == 1:
+            return [(node[0], x)]
+        d_left, left, d_right, right = node
         return split(_pow(group, x, d_left, meter), left) + split(
             _pow(group, x, d_right, meter), right
         )
 
     d = 1
-    for q, leaf in split(x, ctx.primes):
+    for q, leaf in split(x, ctx.split_tree):
         cap = ctx.exponents[q]
         taken = 0
         while not group.is_identity(leaf):

@@ -1,13 +1,65 @@
 """Continued-fraction expansion and the square-root threshold solver."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab.cf import cf_expand, solve_cf
+from orderlab.cf import solve_cf, solve_cf_window
 from orderlab.model import Params, peak
+
+
+def cf_expand(num: int, den: int) -> list[tuple[int, int]]:
+    """Convergents of num/den in lowest terms, from 0/1 up to the value itself.
+
+    Plain Euclidean recurrence: p_k = a_k p_{k-1} + p_{k-2} and likewise
+    for q_k, so successive convergents satisfy the determinant identity
+    p_k q_{k-1} - p_{k-1} q_k = (-1)^(k+1).
+    """
+    if den <= 0 or num < 0:
+        raise ValueError(f"need num >= 0 and den > 0, got {num}/{den}")
+    p_prev, q_prev = 1, 0
+    p, q = num // den, 1
+    out = [(p, q)]
+    a, b = num % den, den
+    while a:
+        # invariant: remaining tail equals a/b with gcd preserved
+        quot, rem = divmod(b, a)
+        p_prev, p = p, quot * p + p_prev
+        q_prev, q = q, quot * q + q_prev
+        out.append((p, q))
+        a, b = rem, a
+    return out
+
+
+def _solve_cf_reference(j: int, params: Params) -> int:
+    """The per-offset solver: Euclid on j / 2**n alone, keeping the last
+    denominator q with q*q < 2**n."""
+    N = params.two_n
+    if not 0 <= j < N:
+        raise ValueError(f"frequency {j} outside [0, {N})")
+    best = 1
+    p_prev, q_prev = 1, 0
+    p, q = j // N, 1
+    a, b = j % N, N
+    while True:
+        if q * q < N:
+            best = q
+        else:
+            break
+        if not a:
+            break
+        quot, rem = divmod(b, a)
+        p_prev, p = p, quot * p + p_prev
+        q_prev, q = q, quot * q + q_prev
+        a, b = rem, a
+    return best
+
+
+def _window_reference(j: int, B: int, params: Params) -> list[int]:
+    return [_solve_cf_reference((j + k) % params.two_n, params) for k in range(-B, B + 1)]
 
 
 def convergent_admissibility(j: int, z: int, r: int, params: Params) -> bool:
@@ -127,3 +179,49 @@ class TestAdmissibility:
         # choose j with |j*4 - 1*64| = 8 so 2*4*8 = 64 == N: strict inequality fails
         assert not convergent_admissibility(14, 1, 4, p)
         assert convergent_admissibility(15, 1, 4, p)
+
+
+class TestSolveCfWindow:
+    def test_validation(self):
+        p = Params(r=5, m=3, ell=3)
+        with pytest.raises(ValueError):
+            solve_cf_window(-1, 1, p)
+        with pytest.raises(ValueError):
+            solve_cf_window(p.two_n, 1, p)
+        with pytest.raises(ValueError):
+            solve_cf_window(0, -1, p)
+
+    @given(st.integers(2, 120), st.integers(1, 6), st.integers(0, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_small_geometries(self, r, ell, B, data):
+        p = Params(r=r, m=r.bit_length(), ell=ell)
+        j = data.draw(st.integers(0, p.two_n - 1))
+        assert solve_cf_window(j, B, p) == _window_reference(j, B, p)
+
+    def test_every_window_of_small_registers(self):
+        # every frequency and every B <= 3, wrapping windows included
+        for n in range(3, 11):
+            p = Params(r=3, m=2, ell=n - 2)
+            per_offset = [_solve_cf_reference(o, p) for o in range(p.two_n)]
+            for B in range(4):
+                for j in range(p.two_n):
+                    want = [per_offset[(j + k) % p.two_n] for k in range(-B, B + 1)]
+                    assert solve_cf_window(j, B, p) == want, (n, B, j)
+
+    def test_matches_reference_at_256_bits(self):
+        # half the windows sit on a peak of a 128-bit order, where the
+        # shared prefix runs deep; the other half are random, some of
+        # them wrapping past 0 or 2**n
+        rng = random.Random(10)
+        for i in range(1000):
+            r = rng.getrandbits(128) | (1 << 127) | 1
+            p = Params(r=r, m=128, ell=128)
+            N = p.two_n
+            B = 100 if i % 50 == 0 else rng.randrange(11)
+            if i % 2 == 0:
+                j = peak(rng.randrange(r), p).j0 % N
+            elif i % 10 == 1:
+                j = rng.randrange(-B, B + 1) % N
+            else:
+                j = rng.randrange(N)
+            assert solve_cf_window(j, B, p) == _window_reference(j, B, p), (r, j, B)

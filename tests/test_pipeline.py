@@ -4,11 +4,12 @@ import itertools
 import json
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import cf, lattice
+from orderlab import cf, lattice, pipeline
 from orderlab.bounds import single_run_success_bound
 from orderlab.distribution import SampleResult
 from orderlab.lattice import EnumerationBudgetExceeded
@@ -80,10 +81,26 @@ class TestRunOnce:
             assert out.reason is None
             assert out.exponent_bits > 0
 
+    def test_window_solver_looked_up_per_trial(self, monkeypatch):
+        # the cf entry reaches the window solver through pipeline.cf at
+        # call time, once for the whole window
+        calls = []
+
+        def counting(j, B, params):
+            calls.append((j, B))
+            return cf.solve_cf_window(j, B, params)
+
+        monkeypatch.setattr(pipeline, "cf", types.SimpleNamespace(solve_cf_window=counting))
+        params = Params(r=210, m=8, ell=8)
+        cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy="cf")
+        group = SimulatedGroup(210)
+        stub = stub_for(5, params)
+        run_once(group, group.generator(), 210, cfg, Rng(0), sampler=stub)
+        assert calls == [(stub.result.j, 3)]
+
     @pytest.mark.parametrize("strategy, module, solver", [
-        ("cf", cf, "solve_cf"),
         ("lattice", lattice, "solve_shortest"),
-    ], ids=["cf", "lattice"])
+    ], ids=["lattice"])
     def test_solver_looked_up_per_offset(self, monkeypatch, strategy, module, solver):
         # the registry reaches the solver through its module at call time
         calls = []
