@@ -12,9 +12,12 @@ with beta = 2**n mod r and L = floor(2**n / r).  All sine arguments are
 reduced exactly in integer arithmetic before any floating evaluation, so
 the formulas stay accurate for register widths in the hundreds of bits.
 
-Two evaluation routes are provided on purpose: `prob` (arbitrary
-precision, one argument at a time) and `prob_array`/`full_distribution`
-(vectorized 80-bit floats, small registers only).  The vectorized route
+Three evaluation routes are provided on purpose: `prob` (arbitrary
+precision, one argument at a time), the sampler's float64 masses
+(`_float_mass`, with a proven relative error bound, used only where that
+bound decides the walk exactly as `prob` would), and
+`prob_array`/`full_distribution` (vectorized 80-bit floats, small
+registers only).  The vectorized route
 reads its sines from one table of sin^2(pi k / 2**n), k in [0, 2**(n-1)],
 whose entries are the same long-double expression as a per-entry
 evaluation, so its output does not depend on the table.
@@ -32,15 +35,15 @@ evaluate one period and tile it.
 
 from __future__ import annotations
 
-import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from .model import Params, Rng, derive, peak
+from .model import DerivedParams, Params, Rng, derive, peak
 
 # Vectorized paths accumulate up to 2**n terms in 80-bit floats; past
 # this width they would be both slow and inaccurate.
@@ -317,6 +320,123 @@ class SampleResult:
     tail: bool
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+# Relative error bound of one _float_mass term, proved in its docstring.
+_MASS_REL_ERR = 32 * _U
+# Widest register for which every nonzero sine square (at least
+# 4 / 2**(2n)) and the quotient 2**(2n) P stay normal floats; wider
+# registers walk in mpmath only.
+_FLOAT_WIDTH_LIMIT = 511
+_UNDECIDED = object()
+
+
+def _walk_offset(i: int) -> int:
+    """Offset of step i of the outward walk: 0, +1, -1, +2, -2, ..."""
+    k = (i + 1) // 2
+    return k if i % 2 == 1 else -k
+
+
+def _float_sin2(numer: int, denom: int) -> float:
+    """sin^2(pi * numer / denom) in float64, folded exactly as _folded_sin2."""
+    k = numer % denom
+    k = min(k, denom - k)
+    if k == 0:
+        return 0.0
+    s = math.sin(math.pi * (k / denom))
+    return s * s
+
+
+def _float_mass(alpha: int, params: Params, d: DerivedParams) -> float | None:
+    """r * P(alpha) in float64 with relative error at most _MASS_REL_ERR.
+
+    Returns None when the result would leave the normal range, which
+    can happen only for n > 256.  With u = 2**-53 and every float
+    normal, to first order in u:
+      - k / 2**n is one correctly rounded int division (u), fl(pi) is
+        within u/2 of pi, and their product rounds once (u), so the
+        angle theta in (0, pi/2] is off by at most 2.5u relative.  Since
+        theta cot(theta) <= 1 there, sin moves by at most 2.5u relative;
+        math.sin adds at most one ulp (2u), the C library's documented
+        accuracy, and squaring doubles that and rounds once: each sine
+        square is within 10u.
+      - float(beta) and float(r - beta) round once (u) and each product
+        rounds once (u): 12u per product; the sum of the two
+        non-negative products adds u: 13u.
+      - dividing by the denominator's sine square (10u) rounds once:
+        24u.  ldexp by -2n is exact while the result stays normal.
+      - float(r) and the final product add u each: 26u.
+    The second-order terms are below u, so 32u covers the whole term.
+    P(0) is the one correctly rounded division r * numerator /
+    denominator of prob_zero, within u.
+    """
+    r = params.r
+    if alpha == 0:
+        p0 = prob_zero(params)
+        return r * p0.numerator / p0.denominator
+    N = params.two_n
+    num = (float(d.beta) * _float_sin2(alpha * (d.L + 1), N)
+           + float(r - d.beta) * _float_sin2(alpha * d.L, N))
+    q = num / _float_sin2(abs(alpha), N)
+    p = math.ldexp(q, -2 * params.n)
+    if q and p < sys.float_info.min:
+        return None
+    return float(r) * p
+
+
+def _float_walk(alpha0: int, u: Fraction, params: Params, d: DerivedParams, t_cap: int):
+    """The sampler walk in float64: the offset _mpmath_walk returns, None
+    for a tail, or _UNDECIDED when a comparison is too close to call.
+
+    At step i (i + 1 terms) the float total S and the float target T
+    decide `cum[i] >= u` for the mpmath walk's cum only when they differ
+    by more than the slack 2 (32u + (i + 1) u) max(S, T), which covers:
+      - the float terms, each within 32u of r * P (_float_mass);
+      - the float sum of i + 1 non-negative terms, within i u / (1 - i u)
+        times their exact sum (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 4.2);
+      - the mpmath walk at p = n + 64 >= 66 bits, whose terms are within
+        16 * 2**-p and whose sums add 2**-p per step, far below u;
+      - T, one correctly rounded int division of the exact u, within u.
+    These add up to less than (32u + (i + 1) u) max(S, T) times a factor
+    below 1.001 for any walk under 2**40 steps; the factor 2 also
+    absorbs the rounding of the slack and of S - T themselves.
+    """
+    if params.n > _FLOAT_WIDTH_LIMIT:
+        return _UNDECIDED
+    r = params.r
+    target = u.numerator / u.denominator
+    total = 0.0
+    for i in range(2 * t_cap + 1):
+        t = _walk_offset(i)
+        mass = _float_mass(alpha0 + r * t, params, d)
+        if mass is None:
+            return _UNDECIDED
+        total += mass
+        slack = 2 * (_MASS_REL_ERR + (i + 1) * _U) * max(total, target)
+        if total - target > slack:
+            return t
+        if target - total <= slack:
+            return _UNDECIDED
+    return None
+
+
+def _mpmath_walk(alpha0: int, u: Fraction, params: Params, t_cap: int) -> int | None:
+    """The first offset of the outward walk whose cumulative mass, added
+    up in mpmath at n + 64 bits, reaches u exactly; None for a tail."""
+    prec = default_prec(params)
+    r = params.r
+    with mpmath.workprec(prec):
+        # u arrives reduced, so divide by its own denominator, exactly
+        target = mpmath.mpf(u.numerator) / mpmath.mpf(u.denominator)
+        total = mpmath.mpf(0)
+        for i in range(2 * t_cap + 1):
+            t = _walk_offset(i)
+            total += r * prob(alpha0 + r * t, params, prec)
+            if total >= target:
+                return t
+    return None
+
+
 class Sampler:
     """Draws frequencies from the exact distribution for a known order.
 
@@ -324,49 +444,33 @@ class Sampler:
     the window truncation error, which is booked as tail), then the
     offset t is drawn by accumulating the conditional masses
     r * P(alpha0(z) + r t) outward (t = 0, +1, -1, +2, ...) against a
-    uniform variate.  Offsets are capped at min(t_max, floor(B_max)),
-    past which the walk would leave the peak's cell; the unreached
-    remainder is reported as tail.
+    uniform dyadic variate u of n + 48 bits.  Offsets are capped at
+    min(t_max, floor(B_max)), past which the walk would leave the peak's
+    cell; the unreached remainder is reported as tail.
 
-    Per-peak cumulative masses are cached, so repeated draws for the
-    same parameters cost a dictionary lookup plus a scan.
+    The draw is defined by _mpmath_walk: the first offset whose
+    cumulative mass, added up in mpmath at n + 64 bits, reaches u.  The
+    walk runs in float64 (_float_walk) and falls back to _mpmath_walk,
+    on the same z and u, only when a certified error band cannot decide
+    a comparison or the register is too wide for float64.  Either way
+    the result is the same draw.
     """
 
     def __init__(self, params: Params, t_max: int):
         if t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {t_max}")
         self.params = params
-        self.prec = default_prec(params)
-        d = derive(params)
-        self.t_cap = min(t_max, d.B_max_floor)
-        self._cum: dict[int, list] = {}
-
-    @staticmethod
-    def _offset(i: int) -> int:
-        # outward walk order: 0, +1, -1, +2, -2, ...
-        k = (i + 1) // 2
-        return k if i % 2 == 1 else -k
+        self._derived = derive(params)
+        self.t_cap = min(t_max, self._derived.B_max_floor)
 
     def sample(self, rng: Rng) -> SampleResult:
         params = self.params
         z = rng.randrange(params.r)
         u = rng.unit_fraction(params.n + 48)
-        n_offsets = 2 * self.t_cap + 1
-        with mpmath.workprec(self.prec):
-            # u arrives reduced, so divide by its own denominator, exactly
-            target = mpmath.mpf(u.numerator) / mpmath.mpf(u.denominator)
-            cum = self._cum.setdefault(z, [])
-            i = bisect.bisect_left(cum, target)
-            if i == len(cum):
-                total = cum[-1] if cum else mpmath.mpf(0)
-                alpha0 = peak(z, params).alpha0
-                while len(cum) < n_offsets and total < target:
-                    t = self._offset(len(cum))
-                    total += params.r * prob(alpha0 + params.r * t, params, self.prec)
-                    cum.append(total)
-                if total < target:
-                    return SampleResult(z=z, t=None, j=None, tail=True)
-                i = len(cum) - 1
-            t = self._offset(i)
-            j = (peak(z, params).j0 + t) % params.two_n
-            return SampleResult(z=z, t=t, j=j, tail=False)
+        pk = peak(z, params)
+        t = _float_walk(pk.alpha0, u, params, self._derived, self.t_cap)
+        if t is _UNDECIDED:
+            t = _mpmath_walk(pk.alpha0, u, params, self.t_cap)
+        if t is None:
+            return SampleResult(z=z, t=None, j=None, tail=True)
+        return SampleResult(z=z, t=t, j=(pk.j0 + t) % params.two_n, tail=False)

@@ -1,6 +1,8 @@
 """Exact measurement distribution, its oracles, and the sampler."""
 
+import bisect
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orderlab.distribution as distribution
 from orderlab.distribution import (
+    SampleResult,
     Sampler,
     approx_prob,
     bruteforce_distribution,
@@ -20,7 +24,7 @@ from orderlab.distribution import (
     prob_zero,
     window_mass,
 )
-from orderlab.distribution import _unit_circle_tables
+from orderlab.distribution import _MASS_REL_ERR, _float_mass, _unit_circle_tables
 from orderlab.model import Params, Rng, derive, frequency_argument, peak
 from orderlab.pipeline import RunConfig
 
@@ -285,3 +289,195 @@ class TestSampler:
         exp *= obs.sum() / exp.sum()
         stat, pvalue = scipy.stats.chisquare(obs, exp)
         assert pvalue > 1e-3, f"chi-square p={pvalue} (stat={stat}, bins={len(obs)})"
+
+
+def _offset(i: int) -> int:
+    # outward walk order: 0, +1, -1, +2, -2, ...
+    k = (i + 1) // 2
+    return k if i % 2 == 1 else -k
+
+
+def _sample_reference(params: Params, t_max: int, rng) -> SampleResult:
+    """The sampler as it was before the float64 walk: the cumulative
+    masses r * P added up in mpmath at n + 64 bits, and the first index
+    whose total reaches the exact dyadic u, found with bisect_left.  The
+    old per-peak cache only replayed these same totals, so a fresh walk
+    per draw gives the same draws."""
+    t_cap = min(t_max, derive(params).B_max_floor)
+    prec = params.n + 64
+    z = rng.randrange(params.r)
+    u = rng.unit_fraction(params.n + 48)
+    with mpmath.workprec(prec):
+        target = mpmath.mpf(u.numerator) / mpmath.mpf(u.denominator)
+        cum = []
+        total = mpmath.mpf(0)
+        alpha0 = peak(z, params).alpha0
+        while len(cum) < 2 * t_cap + 1 and total < target:
+            t = _offset(len(cum))
+            total += params.r * prob(alpha0 + params.r * t, params, prec)
+            cum.append(total)
+        if total < target:
+            return SampleResult(z=z, t=None, j=None, tail=True)
+        t = _offset(bisect.bisect_left(cum, target))
+        return SampleResult(z=z, t=t, j=(peak(z, params).j0 + t) % params.two_n, tail=False)
+
+
+class StubRng:
+    """Hands the sampler a chosen peak z and a chosen dyadic u."""
+
+    def __init__(self, z: int, u: Fraction, params: Params):
+        self.z, self.u, self.params = z, u, params
+
+    def randrange(self, stop):
+        assert stop == self.params.r
+        return self.z
+
+    def unit_fraction(self, bits):
+        assert bits == self.params.n + 48
+        return self.u
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the draws that fall back to the mpmath walk."""
+    calls = []
+    walk = distribution._mpmath_walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(distribution, "_mpmath_walk", counted)
+    return calls
+
+
+def assert_draws_match(params: Params, t_max: int, seed: int, draws: int):
+    sampler = Sampler(params, t_max=t_max)
+    for k in range(draws):
+        got = sampler.sample(Rng(seed + k))
+        assert got == _sample_reference(params, t_max, Rng(seed + k)), (params, t_max, seed + k)
+
+
+def random_order(rnd: random.Random, m: int) -> int:
+    return rnd.getrandbits(m) | (1 << (m - 1)) | 1
+
+
+class TestFloatWalkMatchesReference:
+    def test_seeded_draws_at_256_bits(self, fallbacks):
+        rnd = random.Random(11)
+        for k in range(150):
+            p = Params(r=random_order(rnd, 128), m=128, ell=128)
+            assert_draws_match(p, RunConfig.t_max, 5000 + 3 * k, 2)
+        assert fallbacks == []
+
+    def test_seeded_draws_at_factor_size(self, fallbacks):
+        rnd = random.Random(12)
+        for k in range(100):
+            p = Params(r=random_order(rnd, 48), m=48, ell=48)
+            assert_draws_match(p, RunConfig.t_max, 7000 + 3 * k, 2)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("r", [3, 5, 8, 12, 13])
+    @pytest.mark.parametrize("t_max", [1, RunConfig.t_max])
+    def test_seeded_draws_at_small_geometries(self, r, t_max):
+        m = r.bit_length()
+        for ell in (1, 3, 6):
+            assert_draws_match(Params(r=r, m=m, ell=ell), t_max, 100 * ell + r, 60)
+
+    @given(st.integers(2, 200), st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_small_geometries(self, r, ell, t_max, seed):
+        assert_draws_match(Params(r=r, m=r.bit_length(), ell=ell), t_max, seed, 5)
+
+    def test_tails_at_t_max_one(self):
+        p = Params(r=13, m=4, ell=4)
+        sampler = Sampler(p, t_max=1)
+        draws = [sampler.sample(Rng(300 + k)) for k in range(400)]
+        assert any(d.tail for d in draws)
+        assert draws == [_sample_reference(p, 1, Rng(300 + k)) for k in range(400)]
+
+    @pytest.mark.parametrize("r,m,ell", [(13, 4, 4), (3, 2, 10), (2**40 + 15, 41, 41)])
+    def test_u_zero(self, r, m, ell):
+        p = Params(r=r, m=m, ell=ell)
+        for z in (0, 1, r // 2, r - 1):
+            rng = StubRng(z, Fraction(0), p)
+            got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
+            assert got == _sample_reference(p, RunConfig.t_max, rng)
+            assert got.t == 0
+
+    def test_z_zero(self):
+        rnd = random.Random(13)
+        for r, m, ell in ((13, 4, 4), (5, 3, 9), (random_order(rnd, 128), 128, 128)):
+            p = Params(r=r, m=m, ell=ell)
+            for _ in range(20):
+                rng = StubRng(0, Fraction(rnd.getrandbits(p.n + 48), 1 << (p.n + 48)), p)
+                got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
+                assert got == _sample_reference(p, RunConfig.t_max, rng)
+
+    @pytest.mark.parametrize("r,m,ell", [(8, 4, 4), (4, 3, 1), (2**20, 21, 30)])
+    def test_order_divides_register(self, r, m, ell, fallbacks):
+        # r * P(0) = 1 exactly, so every u < 1 stops at t = 0; u one step
+        # below 1 is inside the band, and the fallback agrees
+        p = Params(r=r, m=m, ell=ell)
+        bits = p.n + 48
+        for z, u in enumerate((Fraction(0), Fraction(3, 8), Fraction((1 << bits) - 1, 1 << bits))):
+            rng = StubRng(z, u, p)
+            got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
+            assert got == _sample_reference(p, RunConfig.t_max, rng)
+            assert got.t == 0 and not got.tail
+        assert len(fallbacks) == 1
+
+
+class TestForcedFallback:
+    @pytest.mark.parametrize("r,m,ell", [(13, 4, 4), (2**127 + 1235, 128, 128)])
+    def test_target_on_a_cumulative_boundary(self, r, m, ell, fallbacks):
+        p = Params(r=r, m=m, ell=ell)
+        bits = p.n + 48
+        z = 5
+        alpha0 = peak(z, p).alpha0
+        prec = p.n + 64
+        steps = []  # the dyadic u nearest below each of the first three totals
+        with mpmath.workprec(prec):
+            total = mpmath.mpf(0)
+            for i in range(3):
+                total += r * prob(alpha0 + r * _offset(i), p, prec)
+                steps.append(int(mpmath.floor(total * 2**bits)))
+        for i, k in enumerate(steps):
+            outcomes = set()
+            for step in (-1, 0, 1):
+                rng = StubRng(z, Fraction(k + step, 1 << bits), p)
+                before = len(fallbacks)
+                got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
+                assert got == _sample_reference(p, RunConfig.t_max, rng)
+                assert len(fallbacks) == before + 1
+                outcomes.add(got.t)
+            assert outcomes == {_offset(i), _offset(i + 1)}
+
+    def test_wide_register_walks_in_mpmath(self, fallbacks):
+        rnd = random.Random(14)
+        for k in range(3):
+            p = Params(r=random_order(rnd, 300), m=300, ell=300)
+            assert_draws_match(p, RunConfig.t_max, 40 + k, 1)
+        assert len(fallbacks) == 3
+
+
+class TestFloatMass:
+    @pytest.mark.parametrize("m,ell", [(5, 3), (40, 24), (128, 128)])
+    def test_within_documented_bound(self, m, ell):
+        rnd = random.Random(m)
+        for _ in range(40):
+            p = Params(r=random_order(rnd, m), m=m, ell=ell)
+            d = derive(p)
+            z = rnd.randrange(p.r)
+            alpha0 = peak(z, p).alpha0
+            offsets = {0, 1, -1, 2, -5, 17, d.B_max_floor, -d.B_max_floor}
+            alphas = {alpha0 + p.r * t for t in offsets if abs(t) <= d.B_max_floor}
+            alphas |= {0, rnd.randrange(-(p.two_n // 2), p.two_n // 2)}
+            for alpha in alphas:
+                with mpmath.workprec(p.n + 64):
+                    want = p.r * prob(alpha, p)
+                got = _float_mass(alpha, p, d)
+                if want == 0:
+                    assert got == 0.0
+                else:
+                    assert abs(mpmath.mpf(got) - want) <= _MASS_REL_ERR * want, (p, alpha)
