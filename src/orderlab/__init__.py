@@ -36,6 +36,7 @@ from .pipeline import (
     RunOutcome,
     factor_completely,
     monte_carlo,
+    post_process,
     run_once,
     wilson_interval,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "lattice_success_bound",
     "monte_carlo",
     "peak",
+    "post_process",
     "prob",
     "prob_bruteforce",
     "prob_zero",

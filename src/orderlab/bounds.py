@@ -162,11 +162,10 @@ def factoring_success_bound(
         )
 
 
-def floor_decimals(x: mpmath.mpf, places: int = 5) -> str:
-    """Format x rounded toward zero at the given decimal place."""
-    scale = 10 ** places
-    v = int(mpmath.floor(x * scale))
-    return f"{v // scale}.{v % scale:0{places}d}"
+def floor_decimals(x: mpmath.mpf) -> str:
+    """Format x rounded down at the fifth decimal place."""
+    v = int(mpmath.floor(x * 100000))
+    return f"{v // 100000}.{v % 100000:05d}"
 
 
 def success_bound_table() -> list[list[str]]:

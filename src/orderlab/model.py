@@ -24,7 +24,8 @@ def round_half_up(x) -> int:
 
     The fractional part f - round_half_up(f) lies in [-1/2, 1/2), i.e.
     the rounding error delta = round_half_up(f) - f lies in (-1/2, 1/2].
-    Accepts int, Fraction, or float; exact for int and Fraction.
+    Accepts int, Fraction, or float; exact for int and Fraction.  The
+    reference rule that optimal_frequency's integer form is tested against.
     """
     if isinstance(x, float):
         return math.floor(x + 0.5)
@@ -113,10 +114,11 @@ class Peak:
 
 
 def optimal_frequency(z: int, params: Params) -> int:
-    """Frequency nearest to z * 2**n / r, ties rounded up.  Exact."""
+    """Frequency nearest to z * 2**n / r, ties rounded up: the integer
+    form floor((2 z 2**n + r) / 2r) of round_half_up(z * 2**n / r)."""
     if not 0 <= z < params.r:
         raise ParameterError(f"peak index z={z} outside [0, {params.r})")
-    return round_half_up(Fraction(z * params.two_n, params.r))
+    return (2 * z * params.two_n + params.r) // (2 * params.r)
 
 
 def peak(z: int, params: Params) -> Peak:

@@ -1,9 +1,12 @@
 """End-to-end runs: sample, solve, filter, recover, report.
 
-A single run draws one frequency from the exact measurement
-distribution, post-processes it (and its 2B neighbors) into order
-candidates with the configured solver, filters the candidates with one
-smooth power of the generator, and recovers the order from the
+A run is split at the draw.  run_once clamps the window half-width B
+so that it never reaches past the peak cell of the true order, draws
+one frequency j from the exact measurement distribution, hands j to
+post_process and compares what comes back with the true order.
+post_process is blind: from j alone it solves the window j-B..j+B
+into order candidates with the configured strategy, filters them with
+one smooth power of the generator and recovers the order from the
 survivors.  Monte Carlo wraps independent runs into a deterministic
 report whose empirical rate is compared against the analytic bound.
 
@@ -17,6 +20,7 @@ Failures carry one of four reasons:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -77,9 +81,9 @@ class RunConfig:
     ell: int
     B: int = 10
     c: float = 25.0
+    delta: int | None = None
     strategy: str = "cf"
     recovery: str = "stack"
-    delta: int | None = None
     t_max: int = 2 ** 24
 
     def __post_init__(self):
@@ -112,12 +116,6 @@ class RunOutcome:
     exponent_bits: int
 
 
-def _candidates_for(j: int, params: Params, strategy: str) -> list[int]:
-    """The distinct candidates of the offsets j-B..j+B, in first-seen order."""
-    per_offset = STRATEGIES[strategy].candidates(j, params)
-    return list(dict.fromkeys(cand for cands in per_offset for cand in cands))
-
-
 @functools.cache
 def _smoothness_context(c: float, m: int) -> recovery.SmoothnessContext:
     """The smoothness context of (c, m), built once and then shared.
@@ -128,19 +126,41 @@ def _smoothness_context(c: float, m: int) -> recovery.SmoothnessContext:
     return recovery.SmoothnessContext.build(c, m)
 
 
-def run_once(
-    group,
-    g,
-    true_r: int,
-    config: RunConfig,
-    rng: Rng,
-    sampler: Sampler | None = None,
-) -> RunOutcome:
+def post_process(
+    group, g, j: int, params: Params, config: RunConfig, meter: recovery.ExponentMeter
+) -> tuple[int | None, str | None]:
+    """The blind classical half of a run: the order recovered from the
+    frequency j, and the reason it failed ("budget" or "no_candidate"),
+    or None.
+
+    Never reads params.r; it uses only m, ell and the window half-width B.
+    The strategy's candidates of the offsets j-B..j+B are kept once each,
+    in first-seen order, and those in [1, 2**m) go to the recovery.  It
+    recovers the order r of g exactly when some in-range candidate c
+    alone has recover(group, g, c, ctx) == r, except that a budget
+    overrun fails the whole window.
+    """
+    try:
+        per_offset = STRATEGIES[config.strategy].candidates(j, params)
+        candidates = dict.fromkeys(cand for cands in per_offset for cand in cands)
+    except lattice.EnumerationBudgetExceeded:
+        return None, "budget"
+    in_range = [cand for cand in candidates if 1 <= cand < (1 << config.m)]
+    if not in_range:
+        return None, "no_candidate"
+    ctx = _smoothness_context(config.c, config.m)
+    solve = recovery.solve_candidate_set(
+        group, g, in_range, ctx, algorithm=config.recovery, meter=meter
+    )
+    return solve.order, None
+
+
+def run_once(group, g, true_r: int, config: RunConfig, rng: Rng) -> RunOutcome:
     """One simulated measurement plus full classical post-processing.
 
-    true_r drives the measurement simulation only; the solvers, filter,
-    and recovery see nothing but frequencies and group elements.
-    Success means the recovered order equals true_r exactly.
+    true_r drives the measurement simulation only; post_process sees
+    nothing but the frequency and group elements.  Success means the
+    recovered order equals true_r exactly.
     """
     # the window never reaches past the peak cell; tiny registers
     # (small factoring moduli) clamp the requested half-width
@@ -148,37 +168,23 @@ def run_once(
     b_eff = min(config.B, (n_reg - true_r) // (2 * true_r))
     params = Params(r=true_r, m=config.m, ell=config.ell, B=b_eff)
     meter = recovery.ExponentMeter()
-    sampler = sampler or Sampler(params, t_max=config.t_max)
-    drawn = sampler.sample(rng)
-    if drawn.tail:
-        return RunOutcome(False, None, "tail", drawn.z, None, None, 0)
-    try:
-        candidates = _candidates_for(drawn.j, params, config.strategy)
-    except lattice.EnumerationBudgetExceeded:
-        return RunOutcome(False, None, "budget", drawn.z, drawn.t, drawn.j, 0)
-    in_range = [cand for cand in candidates if 1 <= cand < (1 << config.m)]
-    if not in_range:
-        return RunOutcome(
-            False, None, "no_candidate", drawn.z, drawn.t, drawn.j, 0
-        )
-    ctx = _smoothness_context(config.c, config.m)
-    solve = recovery.solve_candidate_set(
-        group, g, in_range, ctx, algorithm=config.recovery, meter=meter
-    )
-    if solve.order == true_r:
-        return RunOutcome(
-            True, solve.order, None, drawn.z, drawn.t, drawn.j, meter.total_bits
-        )
+    drawn = Sampler(params, t_max=config.t_max).sample(rng)
+    order, reason = None, "tail"
+    if not drawn.tail:
+        order, reason = post_process(group, g, drawn.j, params, config, meter)
+        if reason is None and order != true_r:
+            reason = "unsmooth_d"
     return RunOutcome(
-        False, solve.order, "unsmooth_d", drawn.z, drawn.t, drawn.j, meter.total_bits
+        reason is None, order, reason, drawn.z, drawn.t, drawn.j, meter.total_bits
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 99% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
     p = successes / trials
+    z = WILSON_Z99
     zz = z * z / trials
     center = (p + zz / 2) / (1 + zz)
     half = z * math.sqrt(p * (1 - p) / trials + zz / (4 * trials)) / (1 + zz)
@@ -210,17 +216,7 @@ class MonteCarloReport:
     exponent_bits_max: int
 
     def to_dict(self) -> dict:
-        cfg = {
-            "m": self.config.m,
-            "ell": self.config.ell,
-            "B": self.config.B,
-            "c": self.config.c,
-            "delta": self.config.delta,
-            "strategy": self.config.strategy,
-            "recovery": self.config.recovery,
-            "t_max": self.config.t_max,
-            "seed": self.seed,
-        }
+        cfg = {**dataclasses.asdict(self.config), "seed": self.seed}
         return {
             "config": cfg,
             "trials": self.trials,

@@ -150,7 +150,10 @@ class TestFloorDecimals:
         assert floor_decimals(mpmath.mpf("0.5")) == "0.50000"
 
     def test_places(self):
-        assert floor_decimals(mpmath.mpf("0.987654"), places=2) == "0.98"
+        # always five places: the sixth and later digits are cut, never rounded
+        assert floor_decimals(mpmath.mpf("0.987654")) == "0.98765"
+        assert floor_decimals(mpmath.mpf("2.0000099")) == "2.00000"
+        assert floor_decimals(mpmath.mpf(3)) == "3.00000"
 
 
 class TestReferenceTable:

@@ -1,6 +1,8 @@
 """Parameter plumbing, rounding conventions, and the two group backends."""
 
 import math
+import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -39,6 +41,41 @@ class TestRoundHalfUp:
         j = round_half_up(x)
         delta = j - x  # ties round up, so delta = +1/2 at a tie
         assert Fraction(-1, 2) < delta <= Fraction(1, 2)
+
+
+class TestOptimalFrequency:
+    """optimal_frequency's integer form against the rule it stands for,
+    round_half_up(z * 2**n / r) in Fractions."""
+
+    def test_every_peak_up_to_n_10(self):
+        # it reads only r and 2**n, so one split per (n, r) covers every
+        # geometry of that width
+        for n in range(2, 11):
+            for r in range(2, 1 << (n - 1)):
+                p = Params(r=r, m=n - 1, ell=1)
+                for z in range(r):
+                    assert optimal_frequency(z, p) == round_half_up(Fraction(z * p.two_n, r))
+
+    def test_random_128_bit_orders_at_n_256(self):
+        rnd = random.Random(256)
+        for _ in range(20000):
+            r = rnd.getrandbits(128) | (1 << 127)
+            p = Params(r=r, m=128, ell=128)
+            z = rnd.randrange(r)
+            assert optimal_frequency(z, p) == round_half_up(Fraction(z * p.two_n, r))
+
+    def test_ties_round_up(self):
+        # a valid register has 2**n >= 2r, so z * 2**n / r is never a tie
+        # there; registers narrower than r (not valid Params) reach them
+        ties = 0
+        for r in range(2, 41):
+            for two_n in (1, 2, 4):
+                p = types.SimpleNamespace(r=r, two_n=two_n)
+                for z in range(r):
+                    x = Fraction(z * two_n, r)
+                    ties += x.denominator == 2
+                    assert optimal_frequency(z, p) == round_half_up(x)
+        assert ties > 0
 
 
 class TestSignedResidue:

@@ -9,9 +9,8 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import cf, lattice, pipeline
+from orderlab import cf, cli, lattice, pipeline
 from orderlab.bounds import single_run_success_bound
-from orderlab.distribution import SampleResult
 from orderlab.lattice import EnumerationBudgetExceeded
 from orderlab.model import Params, Rng, SimulatedGroup, peak
 from orderlab.pipeline import (
@@ -24,28 +23,26 @@ from orderlab.pipeline import (
     dumps_report,
     factor_completely,
     monte_carlo,
+    post_process,
     report_to_csv,
     run_once,
     true_order,
     wilson_interval,
 )
 from orderlab.pipeline import _register_for_modulus
-from orderlab.recovery import _RECOVERY
+from orderlab.recovery import _RECOVERY, ExponentMeter, SmoothnessContext
 
 
-class StubSampler:
-    """Feeds run_once a fixed measurement outcome."""
-
-    def __init__(self, result: SampleResult):
-        self.result = result
-
-    def sample(self, rng):
-        return self.result
+def peak_frequency(z: int, params: Params) -> int:
+    """The frequency of peak z, where a measurement lands most often."""
+    return peak(z, params).j0 % params.two_n
 
 
-def stub_for(z: int, params: Params) -> StubSampler:
-    j = peak(z, params).j0 % params.two_n
-    return StubSampler(SampleResult(z=z, t=0, j=j, tail=False))
+def blind(group, j: int, params: Params, cfg: RunConfig):
+    """post_process at j with a fresh meter: (order, reason, bits metered)."""
+    meter = ExponentMeter()
+    order, reason = post_process(group, group.generator(), j, params, cfg, meter)
+    return order, reason, meter.total_bits
 
 
 class TestRunConfig:
@@ -91,12 +88,11 @@ class TestRunOnce:
             return cf.solve_cf_window(j, B, params)
 
         monkeypatch.setattr(pipeline, "cf", types.SimpleNamespace(solve_cf_window=counting))
-        params = Params(r=210, m=8, ell=8)
+        params = Params(r=210, m=8, ell=8, B=3)
         cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy="cf")
-        group = SimulatedGroup(210)
-        stub = stub_for(5, params)
-        run_once(group, group.generator(), 210, cfg, Rng(0), sampler=stub)
-        assert calls == [(stub.result.j, 3)]
+        j = peak_frequency(5, params)
+        blind(SimulatedGroup(210), j, params, cfg)
+        assert calls == [(j, 3)]
 
     @pytest.mark.parametrize("strategy, module, solver", [
         ("lattice", lattice, "solve_shortest"),
@@ -111,12 +107,10 @@ class TestRunOnce:
             return real(j, params)
 
         monkeypatch.setattr(module, solver, counting)
-        params = Params(r=210, m=8, ell=8)
+        params = Params(r=210, m=8, ell=8, B=3)
         cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy=strategy)
-        group = SimulatedGroup(210)
-        stub = stub_for(5, params)
-        run_once(group, group.generator(), 210, cfg, Rng(0), sampler=stub)
-        j = stub.result.j
+        j = peak_frequency(5, params)
+        blind(SimulatedGroup(210), j, params, cfg)
         assert calls == [(j + k) % params.two_n for k in range(-3, 4)]
 
     def test_tail_outcome(self):
@@ -136,25 +130,25 @@ class TestRunOnce:
     def test_no_candidate_outcome(self):
         # at j=13 (r=13, m=4, ell=4) the shortest vectors of all three
         # window frequencies have doubled second coordinate >= 2**m
-        params = Params(r=13, m=4, ell=4)
+        params = Params(r=13, m=4, ell=4, B=1)
         cfg = RunConfig(m=4, ell=4, B=1, c=10.0, strategy="lattice")
-        group = SimulatedGroup(13)
-        stub = StubSampler(SampleResult(z=1, t=-7, j=13, tail=False))
-        out = run_once(group, group.generator(), 13, cfg, Rng(0), sampler=stub)
-        assert not out.success
-        assert out.reason == "no_candidate"
+        assert blind(SimulatedGroup(13), 13, params, cfg) == (None, "no_candidate", 0)
 
     def test_unsmooth_outcome(self):
-        # z = 29 gives candidate r~ = 2 whose cofactor 29 is not 6-smooth
-        params = Params(r=58, m=6, ell=6)
+        # z = 29 gives candidate r~ = 2 whose cofactor 29 is not 6-smooth:
+        # post_process finds no order, and run_once books that as unsmooth_d
+        params = Params(r=58, m=6, ell=6, B=1)
         cfg = RunConfig(m=6, ell=6, B=1, c=1.0)
         group = SimulatedGroup(58)
-        out = run_once(
-            group, group.generator(), 58, cfg, Rng(0), sampler=stub_for(29, params)
-        )
+        order, reason, bits = blind(group, peak_frequency(29, params), params, cfg)
+        assert (order, reason) == (None, None) and bits > 0
+        for seed in range(1000):
+            out = run_once(group, group.generator(), 58, cfg, Rng(seed))
+            if out.reason == "unsmooth_d":
+                break
         assert not out.success
-        assert out.reason == "unsmooth_d"
         assert out.recovered is None
+        assert (None, None, out.exponent_bits) == blind(group, out.j, params, cfg)
 
     def test_budget_outcome(self, monkeypatch):
         import orderlab.pipeline as pipeline_mod
@@ -192,6 +186,64 @@ class TestRunOnce:
 
     def test_reasons_are_catalogued(self):
         assert set(FAILURE_REASONS) == {"tail", "no_candidate", "unsmooth_d", "budget"}
+
+
+def _all_pairs(m: int, ell: int):
+    """RunConfigs of every strategy x recovery pair at order register m:
+    enumerate with delta = 2, the others at the given ell.
+
+    c = 1 keeps the smoothness base small, so that some windows fail."""
+    return [
+        RunConfig(m=m, ell=m - 2, B=2, c=1.0, strategy=strategy, recovery=rec, delta=2)
+        if strategy == "enumerate" else
+        RunConfig(m=m, ell=ell, B=2, c=1.0, strategy=strategy, recovery=rec)
+        for strategy, rec in itertools.product(STRATEGIES, _RECOVERY)
+    ]
+
+
+# (m, ell, orders)
+POST_GEOMETRIES = [(4, 4, (6, 12)), (5, 4, (12, 29, 30))]
+
+
+class TestPostProcess:
+    def test_blind_to_params_r(self):
+        # the same window, group and meter whatever order params claims
+        for m, ell, orders in POST_GEOMETRIES:
+            for r in orders:
+                group = SimulatedGroup(r)
+                for cfg in _all_pairs(m, ell):
+                    true = Params(r=r, m=m, ell=cfg.ell, B=2)
+                    fake = Params(r=3, m=m, ell=cfg.ell, B=2)
+                    for j in range(0, true.two_n, 4):
+                        assert blind(group, j, true, cfg) == blind(group, j, fake, cfg), (
+                            cfg, r, j)
+
+    def test_success_is_per_candidate(self):
+        # post_process finds r at j exactly when one in-range window
+        # candidate recovers r on its own, save a budget overrun
+        outcomes = set()
+        for m, ell, orders in POST_GEOMETRIES:
+            ctx = SmoothnessContext.build(1.0, m)
+            for r in orders:
+                group = SimulatedGroup(r)
+                g = group.generator()
+                for cfg in _all_pairs(m, ell):
+                    params = Params(r=r, m=m, ell=cfg.ell, B=2)
+                    recover = _RECOVERY[cfg.recovery]
+                    for j in range(params.two_n):
+                        order, reason, _ = blind(group, j, params, cfg)
+                        try:
+                            per_offset = list(STRATEGIES[cfg.strategy].candidates(j, params))
+                        except EnumerationBudgetExceeded:
+                            assert (order, reason) == (None, "budget")
+                            continue
+                        hit = any(
+                            recover(group, g, cand, ctx) == r
+                            for cands in per_offset for cand in cands if 1 <= cand < 1 << m
+                        )
+                        assert hit == (order == r), (cfg, r, j)
+                        outcomes.add(hit)
+        assert outcomes == {True, False}
 
 
 class TestWilson:
@@ -336,6 +388,66 @@ class TestGoldenReports:
         ",0.966620057795,0.9986973385,0.966928369131,0.0309731648853,true,0,0,2,0"
         ",702.78,9166\n"
     )
+
+    CF_STACK = (
+        '{"config": {"m": 32, "ell": 32, "B": 10, "c": 10, "delta": null'
+        ', "strategy": "cf", "recovery": "stack", "t_max": 16777216, "seed": 2024}'
+        ', "trials": 300, "successes": 298, "rate": 0.993333333333'
+        ', "wilson99": [0.966620057795, 0.9986973385], "bound": 0.966928369131'
+        ', "slack": 0.0309731648853, "pass": true, "failure_counts": {"tail": 0'
+        ', "no_candidate": 0, "unsmooth_d": 2, "budget": 0}'
+        ', "exponent_bits": {"mean": 711.123333333, "max": 10584}}'
+    )
+    CF_STACK_CSV = (
+        "m,ell,B,c,delta,strategy,recovery,t_max,seed,trials,successes,rate"
+        ",wilson99_low,wilson99_high,bound,slack,pass,fail_tail,fail_no_candidate"
+        ",fail_unsmooth_d,fail_budget,exponent_bits_mean,exponent_bits_max\n"
+        "32,32,10,10,,cf,stack,16777216,2024,300,298,0.993333333333"
+        ",0.966620057795,0.9986973385,0.966928369131,0.0309731648853,true,0,0,2,0"
+        ",711.123333333,10584\n"
+    )
+    CF_TREE = (
+        '{"config": {"m": 32, "ell": 32, "B": 10, "c": 10, "delta": null'
+        ', "strategy": "cf", "recovery": "tree", "t_max": 16777216, "seed": 2024}'
+        ', "trials": 300, "successes": 298, "rate": 0.993333333333'
+        ', "wilson99": [0.966620057795, 0.9986973385], "bound": 0.966928369131'
+        ', "slack": 0.0309731648853, "pass": true, "failure_counts": {"tail": 0'
+        ', "no_candidate": 0, "unsmooth_d": 2, "budget": 0}'
+        ', "exponent_bits": {"mean": 3647.30333333, "max": 24129}}'
+    )
+    # `orderlab sample` with the walk capped at one offset: draws 2 and 7 are tails
+    SAMPLE_TAILS = (
+        "z,t,j,tail\n"
+        "3,0,59,false\n"
+        "2,,,true\n"
+        "9,0,177,false\n"
+        "9,0,177,false\n"
+        "0,0,0,false\n"
+        "7,0,138,false\n"
+        "3,,,true\n"
+        "11,0,217,false\n"
+        "8,0,158,false\n"
+        "10,0,197,false\n"
+        "3,0,59,false\n"
+        "8,-1,157,false\n"
+    )
+
+    def test_cf_stack(self):
+        cfg = RunConfig(m=32, ell=32, B=10, c=10.0)
+        report = monte_carlo(cfg, trials=300, seed=2024)
+        assert dumps_report(report.to_dict()) == self.CF_STACK
+        assert report_to_csv(report) == self.CF_STACK_CSV
+
+    def test_cf_tree(self):
+        cfg = RunConfig(m=32, ell=32, B=10, c=10.0, recovery="tree")
+        report = monte_carlo(cfg, trials=300, seed=2024)
+        assert dumps_report(report.to_dict()) == self.CF_TREE
+
+    def test_sample_with_tails(self, capsys):
+        argv = ["sample", "--r", "13", "--m", "4", "--ell", "4",
+                "--trials", "12", "--seed", "3", "--tmax", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == self.SAMPLE_TAILS
 
     def test_enumerate_tree(self):
         cfg = RunConfig(m=32, ell=28, B=10, c=10.0, strategy="enumerate", recovery="tree", delta=4)
