@@ -2,70 +2,106 @@
 
 A frequency j near the peak of index z encodes the reduced fraction
 z/r as a convergent of j / 2**n once 2**n > r**2.  The candidate the
-solver emits is the denominator of the last convergent below the
-square-root threshold; everything here is exact integer arithmetic.
-The reals whose continued fractions start with the same partial
-quotients form an interval, so the offsets of a window j-B..j+B share
-every quotient on which its two ends agree: Euclid runs once on the
-ends, and each offset resumes from where they part.
+solver emits is the denominator q of the last convergent of j / 2**n
+with q*q < 2**n; everything here is exact integer arithmetic.
+
+Write N = 2**n and let p'/q', p/q be consecutive convergents of o / N,
+starting from 1/0, 0/1 (o < N, so the integer part is 0).  Euclid on
+(o, N) then holds the remainders a = |q o - p N| and b = |q' o - p' N|,
+and its next step takes the quotient b // a, the remainder b % a and
+the denominator (b // a) q + q'.  The numerators never enter, so only
+remainders and denominators are carried.  For integers, q*q < N holds
+exactly when q <= isqrt(N - 1), so the threshold is one isqrt per call.
+
+The signed remainder s(o) = q o - p N is affine in o with slope q, and
+after k steps it is 0 or has the sign (-1)**k.  That makes a window
+j-B..j+B cheap: Euclid runs once on its two ends while they take the
+same quotients, and every offset between them resumes from there with
+its remainders interpolated; see solve_cf_window.
 """
 
 from __future__ import annotations
 
+import math
+
 from .model import Params
 
 
-def _expand(N: int, lo: int, hi: int, conv: tuple[int, int, int, int]):
-    """Advance the convergents (p', q', p, q) of lo/N and hi/N while both
-    ends take the same next quotient and the next denominator q stays
-    below sqrt(N), tested as q*q < N; returns the convergents reached.
-
-    An offset o with these convergents has the Euclidean remainders
-    a = |q o - p N| and b = |q' o - p' N|.  With lo == hi this is the
-    plain expansion of one offset.
-    """
-    p_prev, q_prev, p, q = conv
-    a_lo, b_lo = abs(q * lo - p * N), abs(q_prev * lo - p_prev * N)
-    a_hi, b_hi = abs(q * hi - p * N), abs(q_prev * hi - p_prev * N)
+def _shared_prefix(N: int, qmax: int, lo: int, hi: int):
+    """Euclid on lo/N and hi/N while both ends take the same quotient and
+    the next denominator stays at most qmax; returns the remainders
+    (a_lo, b_lo, a_hi, b_hi) and the denominators (q', q) reached."""
+    a_lo, b_lo, a_hi, b_hi = lo, N, hi, N
+    q_prev, q = 0, 1
     while a_lo and a_hi:
         quot, rem_lo = divmod(b_lo, a_lo)
         rem_hi = b_hi - quot * a_hi
         q_next = quot * q + q_prev
-        if not 0 <= rem_hi < a_hi or q_next * q_next >= N:
+        if not 0 <= rem_hi < a_hi or q_next > qmax:
             break
-        p_prev, p = p, quot * p + p_prev
         q_prev, q = q, q_next
         a_lo, b_lo, a_hi, b_hi = rem_lo, a_lo, rem_hi, a_hi
-    return p_prev, q_prev, p, q
+    return a_lo, b_lo, a_hi, b_hi, q_prev, q
+
+
+def _finish(a: int, b: int, q_prev: int, q: int, qmax: int) -> int:
+    """Euclid on one offset from its remainders (a, b) and denominators
+    (q', q): the last denominator at most qmax."""
+    while a:
+        quot, rem = divmod(b, a)
+        q_next = quot * q + q_prev
+        if q_next > qmax:
+            break
+        q_prev, q, a, b = q, q_next, rem, a
+    return q
 
 
 def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
     """solve_cf of each offset (j + k) mod 2**n, k = -B..B, in offset order.
 
-    On a contiguous run lo..hi, o/2**n lies between the ends, and the
-    reals sharing a prefix of quotients form an interval, so every o
-    takes each quotient both ends take.  Along that prefix the
-    remainders of o are linear in o and positive at both ends, hence
-    positive in between: no inner offset ends its expansion while both
-    ends go on.  After the ends part, each offset finishes alone from
-    the shared convergents.  A window that wraps past 0 or 2**n is
-    split where it wraps, since o/2**n jumps there from near 1 to near
-    0 and the offsets no longer lie between the ends; both runs take
-    the same path.
+    A window that wraps past 0 or 2**n is split where it wraps, into
+    runs lo..hi of consecutive offsets (o/N jumps there from near 1 to
+    near 0); both runs take the path below.
+
+    On a run, after k shared steps every o in lo..hi has the same
+    convergents p'/q', p/q, and its remainders are a(o) = e s(o) and
+    b(o) = -e s'(o), with s(o) = q o - p N, s'(o) = q' o - p' N and
+    e = (-1)**k.  Both are affine in o, with slopes e q and -e q'.  The
+    induction step: o takes the next quotient Q exactly when a(o) > 0
+    and 0 <= b(o) - Q a(o) < a(o).  These are affine inequalities in
+    o, so if they hold at lo and at hi they hold at every o between.
+    The new remainders b - Q a = -e (q_next o - p_next N) and a are
+    again of that form with k + 1.  The threshold q_next <= qmax does
+    not depend on o.  So where the ends part, every inner offset has
+    taken the same quotients and
+
+        a(o) = a_lo + sa (o - lo),  sa = (a_hi - a_lo) / (hi - lo) = e q,
+        b(o) = b_lo + sb (o - lo),  sb = (b_hi - b_lo) / (hi - lo) = -e q',
+
+    with exact divisions.  Each offset then finishes alone from
+    (a(o), b(o), q', q).  qmax = isqrt(N - 1) is the largest q with
+    q*q < N.
     """
     N = params.two_n
     if not 0 <= j < N:
         raise ValueError(f"frequency {j} outside [0, {N})")
     if B < 0:
         raise ValueError(f"window half-width B must be >= 0, got {B}")
+    qmax = math.isqrt(N - 1)
     out: list[int] = []
     start, stop = j - B, j + B
     while start <= stop:
         lo = start % N
-        hi = lo + min(stop - start, N - 1 - lo)
-        conv = _expand(N, lo, hi, (1, 0, 0, 1))
-        out.extend(_expand(N, o, o, conv)[3] for o in range(lo, hi + 1))
-        start += hi - lo + 1
+        w = min(stop - start, N - 1 - lo)
+        if not w:
+            out.append(_finish(lo, N, 0, 1, qmax))
+        else:
+            a_lo, b_lo, a_hi, b_hi, q_prev, q = _shared_prefix(N, qmax, lo, lo + w)
+            sa, sb = (a_hi - a_lo) // w, (b_hi - b_lo) // w
+            out.extend(
+                _finish(a_lo + sa * k, b_lo + sb * k, q_prev, q, qmax) for k in range(w + 1)
+            )
+        start += w + 1
     return out
 
 

@@ -25,7 +25,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import bounds, cf, lattice, recovery
 from .distribution import Sampler
@@ -38,11 +38,13 @@ FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 
 class Strategy(NamedTuple):
-    """A solver strategy: the order candidates of each offset of the window
-    j-B..j+B, yielded one offset at a time so that one list is live at
-    once, and the elimination mode of the analytic bound covering it."""
+    """A solver strategy: the order candidates of the window j-B..j+B, in
+    offset order, as one list per offset yielded one at a time so that one
+    list is live at once, or as one list for a solver that takes the
+    window whole; and the elimination mode of the analytic bound covering
+    it."""
 
-    candidates: Callable[[int, Params], Iterator[list[int]]]
+    candidates: Callable[[int, Params], Iterable[list[int]]]
     elimination: str
 
 
@@ -54,8 +56,8 @@ def _window(j: int, params: Params) -> list[int]:
 # Each entry looks its solver up through this module's `cf` and `lattice`
 # names at call time, so a wrapper installed on those names sees every call.
 STRATEGIES = {
-    # the last continued-fraction convergent below 2**(n/2), one Euclid run per window
-    "cf": Strategy(lambda j, p: ([q] for q in cf.solve_cf_window(j, p.B, p)), "sqrt"),
+    # the last continued-fraction convergent below 2**(n/2), the whole window in one list
+    "cf": Strategy(lambda j, p: (cf.solve_cf_window(j, p.B, p),), "sqrt"),
     # the shortest vector of the reduced frequency lattice
     "lattice": Strategy(
         lambda j, p: ([lattice.solve_shortest(o, p)] for o in _window(j, p)), "sqrt"
@@ -141,8 +143,8 @@ def post_process(
     overrun fails the whole window.
     """
     try:
-        per_offset = STRATEGIES[config.strategy].candidates(j, params)
-        candidates = dict.fromkeys(cand for cands in per_offset for cand in cands)
+        lists = STRATEGIES[config.strategy].candidates(j, params)
+        candidates = dict.fromkeys(cand for cands in lists for cand in cands)
     except lattice.EnumerationBudgetExceeded:
         return None, "budget"
     in_range = [cand for cand in candidates if 1 <= cand < (1 << config.m)]

@@ -225,3 +225,39 @@ class TestSolveCfWindow:
             else:
                 j = rng.randrange(N)
             assert solve_cf_window(j, B, p) == _window_reference(j, B, p), (r, j, B)
+
+    @pytest.mark.parametrize("n", [9, 10, 93, 94, 255, 256, 257])
+    def test_threshold_at_isqrt(self, n):
+        # q*q < 2**n is q <= isqrt(2**n - 1): a frequency rounded from z/Q
+        # has z/Q among its convergents, and Q = isqrt(2**n - 1) is the
+        # largest denominator kept, Q + 1 the smallest dropped
+        p = Params(r=3, m=2, ell=n - 2)
+        N = p.two_n
+        top = math.isqrt(N - 1)
+        for Q, kept in ((top, True), (top + 1, False)):
+            zs = [z for z in (1, 2, 3, 5, Q // 3, Q // 2 + 1, Q - 1) if math.gcd(z, Q) == 1]
+            assert len(zs) >= 3
+            for z in zs:
+                j = (2 * z * N + Q) // (2 * Q)
+                assert (z, Q) in cf_expand(j, N), (n, Q, z)
+                got = solve_cf_window(j, 0, p)[0]
+                assert got == _solve_cf_reference(j, p), (n, Q, z)
+                assert (got == Q) == kept, (n, Q, z, got)
+
+    @pytest.mark.parametrize("ell", [46, 47])
+    def test_matches_reference_at_factor_registers(self, ell):
+        # m = 47 and n = 93, 94 as factor uses for 48-bit moduli; windows
+        # near peaks and at random j, B = 0..10, some wrapping past 0 or 2**n
+        rng = random.Random(ell)
+        for i in range(150):
+            r = rng.getrandbits(47) | (1 << 46) | 1
+            p = Params(r=r, m=47, ell=ell)
+            N = p.two_n
+            B = i % 11
+            if i % 3 == 0:
+                j = peak(rng.randrange(r), p).j0 % N
+            elif i % 3 == 1:
+                j = rng.randrange(-B, B + 1) % N
+            else:
+                j = rng.randrange(N)
+            assert solve_cf_window(j, B, p) == _window_reference(j, B, p), (r, j, B)
