@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Params
+from .model import Params, window_runs
 
 
 def _shared_prefix(N: int, qmax: int, lo: int, hi: int):
@@ -60,8 +60,8 @@ def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
     """solve_cf of each offset (j + k) mod 2**n, k = -B..B, in offset order.
 
     A window that wraps past 0 or 2**n is split where it wraps, into
-    runs lo..hi of consecutive offsets (o/N jumps there from near 1 to
-    near 0); both runs take the path below.
+    runs lo..hi of consecutive offsets (model.window_runs); both runs
+    take the path below.
 
     On a run, after k shared steps every o in lo..hi has the same
     convergents p'/q', p/q, and its remainders are a(o) = e s(o) and
@@ -83,16 +83,9 @@ def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
     q*q < N.
     """
     N = params.two_n
-    if not 0 <= j < N:
-        raise ValueError(f"frequency {j} outside [0, {N})")
-    if B < 0:
-        raise ValueError(f"window half-width B must be >= 0, got {B}")
     qmax = math.isqrt(N - 1)
     out: list[int] = []
-    start, stop = j - B, j + B
-    while start <= stop:
-        lo = start % N
-        w = min(stop - start, N - 1 - lo)
+    for lo, w in window_runs(j, B, N):
         if not w:
             out.append(_finish(lo, N, 0, 1, qmax))
         else:
@@ -101,7 +94,6 @@ def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
             out.extend(
                 _finish(a_lo + sa * k, b_lo + sb * k, q_prev, q, qmax) for k in range(w + 1)
             )
-        start += w + 1
     return out
 
 

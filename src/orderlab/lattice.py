@@ -10,6 +10,33 @@ the second coordinate doubled: Vec(x, y2) means the point (x, y2/2).
 Squared norms are then (4 x^2 + y2^2)/4, and all comparisons below use
 the integer quantity norm4 = 4 x^2 + y2^2.  Everything is exact.
 
+A window j-B..j+B shares most of its reduction (reduce_window).  Every
+vector met is a (o, 1) + b (2**n, 0), and Lagrange's steps act on the
+multiples (a, b) alone, so on a run of offsets o = lo + u, u = 0..w,
+with the same multiples, a vector is (x + a u, a): x its first
+coordinate at lo, affine in u with slope a, and y2 = a constant.  A step
+on (s1, s2) takes t = floor((2 num + den) / (2 den)), num = dot4(s1, s2),
+den = norm4(s1) > 0, and swaps when norm4(s2 - t s1) < norm4(s1).  So
+offset lo + u takes the same t exactly when
+
+    P(u) = 2 num + (1 - 2t) den >= 0  and  Q(u) = (1 + 2t) den - 2 num - 1 >= 0,
+
+and the same swap decision exactly when D(u) = norm4(s1) - norm4(s2 - t s1)
+has the sign of D(0): D - 1 >= 0 or -D >= 0.  P, Q and D are quadratics
+in u whose integer coefficients come from the values at lo and the
+slopes a_i.  A quadratic c0 + c1 u + c2 u**2 is >= 0 at every integer of
+[0, w] if the cheap bound c0 + min(0, c1 w) + min(0, c2) w**2 is >= 0;
+otherwise exactly if it is >= 0 at u = 0, at u = w and, when c2 > 0 and
+the vertex -c1 / (2 c2) lies in (0, w), at the two integers around the
+vertex: a convex quadratic is smallest over the integers next to its
+vertex, a concave or linear one at an end.  When the certificates of a
+step hold, every offset of the run takes that step, the multiples stay
+shared, and the induction goes on.  At the first step they do not
+prove, each offset finishes alone from the shared pair, which is where
+lagrange_reduce would be at that step (after a proven t, its next
+rounding is 0).  So reduce_window returns lagrange_reduce of every
+offset, step for step.
+
 The enumeration counts each row m2 of w = m1 s1 + m2 s2 in closed form:
 with A = norm4(s1) the Gram determinant 2**(2n+2) gives
 A norm4(w) = (A m1 + m2 dot4(s1, s2))**2 + 2**(2n+2) m2**2, so a row
@@ -25,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Params
+from .model import Params, window_runs
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -73,31 +100,100 @@ def _round_ratio(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def _lagrange(x1: int, a1: int, b1: int, x2: int, a2: int, b2: int) -> ReducedBasis:
+    """Lagrange's loop from s1 = (x1, a1), s2 = (x2, a2), where
+    s_i = a_i (o, 1) + b_i (2**n, 0): a vector's doubled second coordinate
+    is its a_i."""
+    n1 = 4 * x1 * x1 + a1 * a1
+    n2 = 4 * x2 * x2 + a2 * a2
+    while True:
+        t = _round_ratio(4 * x2 * x1 + a2 * a1, n1)
+        if t:
+            x2 -= t * x1
+            a2 -= t * a1
+            b2 -= t * b1
+            n2 = 4 * x2 * x2 + a2 * a2
+        if n2 < n1:
+            x1, a1, b1, n1, x2, a2, b2, n2 = x2, a2, b2, n2, x1, a1, b1, n1
+        else:
+            break
+    return ReducedBasis(s1=Vec(x1, a1), s2=Vec(x2, a2), multiples=((a1, b1), (a2, b2)))
+
+
 def lagrange_reduce(j: int, params: Params) -> ReducedBasis:
     """Gauss/Lagrange reduction of the frequency lattice for j.
 
-    Exact arithmetic on bare ints: vector i is (xi, yi) with multiples
-    (ai, bi) of the basis and cached norm4 ni.
+    Exact arithmetic on bare ints, from the basis with multiples (1, 0)
+    and (0, 1).  The start needs no swap: with o = j mod 2**n,
+    norm4((o, 1)) = 4 o**2 + 1 < 4 * 2**(2n) = norm4((2**n, 0)).
     """
-    (x1, y1), (x2, y2) = basis_for(j, params)
-    a1, b1, a2, b2 = 1, 0, 0, 1
-    n1 = 4 * x1 * x1 + y1 * y1
-    n2 = 4 * x2 * x2 + y2 * y2
-    if n1 > n2:
-        x1, y1, a1, b1, n1, x2, y2, a2, b2, n2 = x2, y2, a2, b2, n2, x1, y1, a1, b1, n1
-    while True:
-        t = _round_ratio(4 * x2 * x1 + y2 * y1, n1)
-        if t:
-            x2 -= t * x1
-            y2 -= t * y1
-            a2 -= t * a1
-            b2 -= t * b1
-            n2 = 4 * x2 * x2 + y2 * y2
-        if n2 < n1:
-            x1, y1, a1, b1, n1, x2, y2, a2, b2, n2 = x2, y2, a2, b2, n2, x1, y1, a1, b1, n1
-        else:
-            break
-    return ReducedBasis(s1=Vec(x1, y1), s2=Vec(x2, y2), multiples=((a1, b1), (a2, b2)))
+    (x1, a1), (x2, a2) = basis_for(j, params)
+    return _lagrange(x1, a1, 0, x2, a2, 1)
+
+
+def _nonneg(c0: int, c1: int, c2: int, w: int, ww: int) -> bool:
+    """Whether c0 + c1 u + c2 u**2 >= 0 at every integer u in [0, w], ww = w*w."""
+    if c0 + min(0, c1 * w) + min(0, c2 * ww) >= 0:
+        return True
+    if c0 < 0 or c0 + c1 * w + c2 * ww < 0:
+        return False
+    if c2 > 0 and 0 < -c1 < 2 * c2 * w:
+        u = -c1 // (2 * c2)  # the vertex lies in (u, u + 1], both in [0, w]
+        return c0 + c1 * u + c2 * u * u >= 0 and c0 + c1 * (u + 1) + c2 * (u + 1) ** 2 >= 0
+    return True
+
+
+def _reduce_run(lo: int, w: int, N: int) -> list[ReducedBasis]:
+    """lagrange_reduce of each offset lo..lo + w (all in [0, N)), sharing
+    every step that a certificate proves the same for all of them."""
+    x1, a1, b1, x2, a2, b2 = lo, 1, 0, N, 0, 1
+    if w:
+        ww = w * w
+        # coefficients in u of norm4(s1) (d), dot4(s1, s2) (m), P and
+        # norm4(s2 - t s1) (e); Q = 2 d - P - 1 and D = d - e
+        d0, d1, d2 = 4 * lo * lo + 1, 8 * lo, 4
+        while True:
+            m0, m1, m2 = 4 * x1 * x2 + a1 * a2, 4 * (x1 * a2 + x2 * a1), 4 * a1 * a2
+            t, p0 = divmod(2 * m0 + d0, 2 * d0)  # t and P(0) at lo
+            p1, p2 = 2 * m1 + (1 - 2 * t) * d1, 2 * m2 + (1 - 2 * t) * d2
+            if not (
+                _nonneg(p0, p1, p2, w, ww)
+                and _nonneg(2 * d0 - 1 - p0, 2 * d1 - p1, 2 * d2 - p2, w, ww)
+            ):
+                break
+            if t:
+                x2 -= t * x1
+                a2 -= t * a1
+                b2 -= t * b1
+            e0, e1, e2 = 4 * x2 * x2 + a2 * a2, 8 * x2 * a2, 4 * a2 * a2
+            if e0 >= d0:
+                if not _nonneg(e0 - d0, e1 - d1, e2 - d2, w, ww):
+                    break
+                return [
+                    ReducedBasis(
+                        s1=Vec(x1 + a1 * u, a1),
+                        s2=Vec(x2 + a2 * u, a2),
+                        multiples=((a1, b1), (a2, b2)),
+                    )
+                    for u in range(w + 1)
+                ]
+            if not _nonneg(d0 - e0 - 1, d1 - e1, d2 - e2, w, ww):
+                break
+            x1, a1, b1, d0, d1, d2, x2, a2, b2 = x2, a2, b2, e0, e1, e2, x1, a1, b1
+    return [_lagrange(x1 + a1 * u, a1, b1, x2 + a2 * u, a2, b2) for u in range(w + 1)]
+
+
+def reduce_window(j: int, B: int, params: Params) -> list[ReducedBasis]:
+    """lagrange_reduce of each offset (j + k) mod 2**n, k = -B..B, in offset order.
+
+    A window that wraps past 0 or 2**n is split where it wraps, into
+    runs lo..hi of consecutive offsets (model.window_runs).  Each run
+    shares the Lagrange steps that the certificates of the module
+    docstring prove, and its offsets finish alone from the first step
+    they cannot prove.
+    """
+    N = params.two_n
+    return [rb for lo, w in window_runs(j, B, N) for rb in _reduce_run(lo, w, N)]
 
 
 def solve_shortest(j: int, params: Params) -> int:
@@ -138,8 +234,9 @@ def _clip(lo: int, hi: int, a: int, b: int, low: int, high: int) -> tuple[int, i
     return (lo, hi) if low <= b <= high else (lo, lo - 1)
 
 
-def enumerate_candidates(j: int, params: Params) -> EnumerationResult:
-    """All order candidates 2 w_2 from lattice vectors with |w| < 2**(m-1/2).
+def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> EnumerationResult:
+    """All order candidates 2 w_2 from lattice vectors with |w| < 2**(m-1/2),
+    given rb, the reduced basis of j (lagrange_reduce or reduce_window).
 
     If the reduced basis certifies that only multiples of s1 can be that
     short (case 1), the single candidate 2 |(s1)_2| is returned without
@@ -165,7 +262,6 @@ def enumerate_candidates(j: int, params: Params) -> EnumerationResult:
 
     m = params.m
     budget = enumeration_budget(max(0, m - params.ell))
-    rb = lagrange_reduce(j, params)
     (x1, y1), (x2, y2) = rb.s1, rb.s2
     A = norm4(rb.s1)
 

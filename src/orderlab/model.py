@@ -134,6 +134,28 @@ def frequency_argument(j: int, params: Params) -> int:
     return signed_residue(params.r * j, params.two_n)
 
 
+def window_runs(j: int, B: int, N: int) -> list[tuple[int, int]]:
+    """The window (j + k) mod N, k = -B..B, as runs (lo, w) of consecutive
+    offsets lo..lo + w, all in [0, N), in offset order.
+
+    A window that wraps past 0 or N is split where it wraps (o/N jumps
+    there from near 1 to near 0), so the solvers that share work across
+    a run see only consecutive offsets.
+    """
+    if not 0 <= j < N:
+        raise ValueError(f"frequency {j} outside [0, {N})")
+    if B < 0:
+        raise ValueError(f"window half-width B must be >= 0, got {B}")
+    start, stop = j - B, j + B
+    runs = []
+    while start <= stop:
+        lo = start % N
+        w = min(stop - start, N - 1 - lo)
+        runs.append((lo, w))
+        start += w + 1
+    return runs
+
+
 class Rng:
     """Deterministic random stream with explicit splitting.
 

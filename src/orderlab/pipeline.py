@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -62,9 +63,13 @@ STRATEGIES = {
     "lattice": Strategy(
         lambda j, p: ([lattice.solve_shortest(o, p)] for o in _window(j, p)), "sqrt"
     ),
-    # every short lattice vector, with the reduced register ell = m - delta
+    # every short lattice vector, with the reduced register ell = m - delta; the
+    # window is reduced once and each offset enumerated from its own basis
     "enumerate": Strategy(
-        lambda j, p: (lattice.enumerate_candidates(o, p).candidates for o in _window(j, p)),
+        lambda j, p: (
+            lattice.enumerate_candidates(o, p, rb).candidates
+            for o, rb in zip(_window(j, p), lattice.reduce_window(j, p.B, p))
+        ),
         "pow2ell",
     ),
 }
@@ -144,10 +149,11 @@ def post_process(
     """
     try:
         lists = STRATEGIES[config.strategy].candidates(j, params)
-        candidates = dict.fromkeys(cand for cands in lists for cand in cands)
+        candidates = dict.fromkeys(itertools.chain.from_iterable(lists))
     except lattice.EnumerationBudgetExceeded:
         return None, "budget"
-    in_range = [cand for cand in candidates if 1 <= cand < (1 << config.m)]
+    top = 1 << config.m
+    in_range = [cand for cand in candidates if 1 <= cand < top]
     if not in_range:
         return None, "no_candidate"
     ctx = _smoothness_context(config.c, config.m)

@@ -128,6 +128,17 @@ def _pow(group, x, k: int, meter: ExponentMeter | None):
     return group.pow(x, k)
 
 
+def _charge(meter: ExponentMeter | None, bits: int, operations: int) -> None:
+    """Add a call's exponent-length total and power count to the meter.
+
+    The recovery loops below keep these totals in locals: every exponent
+    they apply is at least 1, where exponent_length(k) = (k - 1).bit_length().
+    """
+    if meter is not None:
+        meter.total_bits += bits
+        meter.operations += operations
+
+
 def recover_multiple(
     group,
     g,
@@ -183,31 +194,42 @@ def recover_order_stack(
     """
     if not 1 <= r_tilde < (1 << ctx.m):
         return None
-    x = _pow(group, g, r_tilde, meter)
-    if group.is_identity(x):
+    pow_, is_identity = group.pow, group.is_identity
+    x = pow_(g, r_tilde)
+    bits, ops = (r_tilde - 1).bit_length(), 1
+    if is_identity(x):
+        _charge(meter, bits, ops)
         return r_tilde
     stack: list[tuple[object, int, int]] = []
     for q in ctx.primes:
         e = ctx.exponents[q]
         stack.append((x, q, e))
-        x = _pow(group, x, q ** e, meter)
-        if group.is_identity(x):
+        x = pow_(x, q ** e)
+        bits += (q ** e - 1).bit_length()
+        ops += 1
+        if is_identity(x):
             break
-    if not group.is_identity(x):
+    else:
+        _charge(meter, bits, ops)
         return None
     d = 1
     if trace is not None:
         trace.append(d)
     while stack:
         x, q, e = stack.pop()
-        x = _pow(group, x, d, meter)
+        x = pow_(x, d)
+        bits += (d - 1).bit_length()
+        ops += 1
         for _ in range(e):
-            if group.is_identity(x):
+            if is_identity(x):
                 break
-            x = _pow(group, x, q, meter)
+            x = pow_(x, q)
+            bits += (q - 1).bit_length()
+            ops += 1
             d *= q
             if trace is not None:
                 trace.append(d)
+    _charge(meter, bits, ops)
     return d * r_tilde
 
 
@@ -219,32 +241,42 @@ def recover_order_tree(
     The prime set is halved recursively: each half receives the element
     raised to the other half's full prime powers, so each leaf holds an
     element whose non-identity part is a power of a single prime.  The
-    leaf exponents are then read off one multiplication at a time; a
-    leaf that fails to reach the identity within its cap means the
-    cofactor was not smooth.
+    leaf exponents are then read off one multiplication at a time, left
+    to right; a leaf that fails to reach the identity within its cap
+    means the cofactor was not smooth.
     """
     if not 1 <= r_tilde < (1 << ctx.m):
         return None
-    x = _pow(group, g, r_tilde, meter)
-
-    def split(x, node: tuple):
+    pow_, is_identity = group.pow, group.is_identity
+    bits, ops = (r_tilde - 1).bit_length(), 1
+    leaves: list[tuple[int, object]] = []
+    nodes = [(pow_(g, r_tilde), ctx.split_tree)]
+    while nodes:  # depth first, left child popped first
+        x, node = nodes.pop()
         if len(node) == 1:
-            return [(node[0], x)]
+            leaves.append((node[0], x))
+            continue
         d_left, left, d_right, right = node
-        return split(_pow(group, x, d_left, meter), left) + split(
-            _pow(group, x, d_right, meter), right
-        )
-
+        nodes.append((pow_(x, d_right), right))
+        nodes.append((pow_(x, d_left), left))
+        bits += (d_left - 1).bit_length() + (d_right - 1).bit_length()
+        ops += 2
     d = 1
-    for q, leaf in split(x, ctx.split_tree):
-        cap = ctx.exponents[q]
-        taken = 0
-        while not group.is_identity(leaf):
-            if taken == cap:
-                return None
-            leaf = _pow(group, leaf, q, meter)
+    for q, leaf in leaves:
+        if is_identity(leaf):
+            continue
+        cap, step = ctx.exponents[q], (q - 1).bit_length()
+        for _ in range(cap):
+            leaf = pow_(leaf, q)
+            bits += step
+            ops += 1
             d *= q
-            taken += 1
+            if is_identity(leaf):
+                break
+        else:
+            _charge(meter, bits, ops)
+            return None
+    _charge(meter, bits, ops)
     return d * r_tilde
 
 
@@ -268,25 +300,30 @@ def filter_candidates(
     reductions are skipped.  Returns the survivors, deduplicated in
     first-seen order, and the final mu.
     """
-    x = _pow(group, g, ctx.smooth_exponent, meter)
+    pow_, is_identity = group.pow, group.is_identity
+    smooth = ctx.smooth_exponent
+    x = pow_(g, smooth)
+    bits, ops = (smooth - 1).bit_length(), 1
+    top = 1 << ctx.m
     mu = 0
     accepted: set[int] = set()
     dismissed: set[int] = set()
     survivors: list[int] = []
     for cand in candidates:
-        if not 1 <= cand < (1 << ctx.m):
-            continue
-        if cand in accepted:
+        if not 1 <= cand < top or cand in accepted:
             continue
         reduced = math.gcd(cand, mu) if mu else cand
         if reduced in dismissed:
             continue
-        if group.is_identity(_pow(group, x, reduced, meter)):
+        bits += (reduced - 1).bit_length()
+        ops += 1
+        if is_identity(pow_(x, reduced)):
             accepted.add(cand)
-            mu = math.gcd(cand * ctx.smooth_exponent, mu)
+            mu = math.gcd(cand * smooth, mu)
             survivors.append(cand)
         else:
             dismissed.add(reduced)
+    _charge(meter, bits, ops)
     return survivors, mu
 
 

@@ -35,7 +35,7 @@ from orderlab.distribution import (
     window_mass,
 )
 from orderlab.factorint import is_probable_prime
-from orderlab.lattice import enumerate_candidates, solve_shortest
+from orderlab.lattice import enumerate_candidates, lagrange_reduce, solve_shortest
 from orderlab.model import Params, SimulatedGroup, derive, peak
 from orderlab.pipeline import RunConfig, factor_completely, monte_carlo
 from orderlab.recovery import (
@@ -185,7 +185,7 @@ def test_criterion_07_enumeration_contains_order():
             budget = enumeration_budget(delta)
             for z in range(r):
                 j = peak(z, p).j0 % p.two_n
-                res = enumerate_candidates(j, p)
+                res = enumerate_candidates(j, p, lagrange_reduce(j, p))
                 r_tilde = r // math.gcd(r, z)
                 assert r_tilde in res.candidates, (r, delta, z)
                 assert res.visited <= budget, (r, delta, z, res.visited)

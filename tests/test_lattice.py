@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import bounds
+from orderlab import bounds, lattice
 from orderlab.bounds import enumeration_budget
 from orderlab.lattice import (
     EnumerationBudgetExceeded,
@@ -18,6 +18,7 @@ from orderlab.lattice import (
     enumerate_candidates,
     lagrange_reduce,
     norm4,
+    reduce_window,
     solve_shortest,
 )
 from orderlab.model import Params, peak
@@ -118,7 +119,8 @@ def brute_short_candidates(j: int, params: Params) -> set[int]:
 class TestEnumeration:
     def test_case1_returns_single_candidate(self):
         p = Params(r=13, m=4, ell=4)
-        res = enumerate_candidates(peak(1, p).j0, p)
+        j = peak(1, p).j0
+        res = enumerate_candidates(j, p, lagrange_reduce(j, p))
         assert res.case == 1
         assert res.candidates == [13]
         assert res.visited == 1
@@ -131,7 +133,7 @@ class TestEnumeration:
             delta = m - 1
         p = Params(r=r, m=m, ell=m - delta)
         j = data.draw(st.integers(0, p.two_n - 1))
-        res = enumerate_candidates(j, p)
+        res = enumerate_candidates(j, p, lagrange_reduce(j, p))
         assert res.visited <= res.budget == enumeration_budget(delta)
         brute = brute_short_candidates(j, p)
         assert len(set(res.candidates)) == len(res.candidates)
@@ -148,7 +150,8 @@ class TestEnumeration:
             for delta in (1, 3):
                 p = Params(r=r, m=m, ell=m - delta)
                 for z in range(0, r, 5):
-                    res = enumerate_candidates(peak(z, p).j0 % p.two_n, p)
+                    j = peak(z, p).j0 % p.two_n
+                    res = enumerate_candidates(j, p, lagrange_reduce(j, p))
                     assert r // math.gcd(r, z) in res.candidates
 
 
@@ -224,7 +227,9 @@ class TestAgainstReference:
 
     def assert_same(self, j: int, params: Params, budget: int):
         assert lagrange_reduce(j, params) == reference_lagrange_reduce(j, params)
-        outcome = enumeration_outcome(enumerate_candidates, j, params, budget)
+        outcome = enumeration_outcome(
+            lambda j, p: enumerate_candidates(j, p, lagrange_reduce(j, p)), j, params, budget
+        )
         assert outcome == enumeration_outcome(reference_enumerate_candidates, j, params, budget)
         return outcome
 
@@ -248,7 +253,8 @@ class TestAgainstReference:
         # a budget of exactly the vectors visited passes; one less raises
         p = Params(r=3, m=7, ell=3)
         j, visited = max(
-            ((j, enumerate_candidates(j, p).visited) for j in range(p.two_n)), key=lambda jv: jv[1]
+            ((j, enumerate_candidates(j, p, lagrange_reduce(j, p)).visited) for j in range(p.two_n)),
+            key=lambda jv: jv[1],
         )
         assert isinstance(self.assert_same(j, p, visited), EnumerationResult)
         assert self.assert_same(j, p, visited - 1)[0] == "budget"
@@ -261,3 +267,98 @@ class TestAgainstReference:
             j0 = peak(rnd.randrange(r), p).j0
             for offset in range(-10, 11):  # 210 frequencies in all
                 self.assert_same((j0 + offset) % p.two_n, p, enumeration_budget(8))
+
+
+def window_reference(j: int, B: int, params: Params) -> list[ReducedBasis]:
+    """lagrange_reduce of each offset of the window, one at a time."""
+    return [lagrange_reduce((j + k) % params.two_n, params) for k in range(-B, B + 1)]
+
+
+class TestReduceWindow:
+    """reduce_window shares certified Lagrange steps across the window and
+    returns exactly the per-offset ReducedBasis of each offset."""
+
+    def test_validation(self):
+        p = Params(r=5, m=3, ell=3)
+        with pytest.raises(ValueError):
+            reduce_window(-1, 1, p)
+        with pytest.raises(ValueError):
+            reduce_window(p.two_n, 1, p)
+        with pytest.raises(ValueError):
+            reduce_window(0, -1, p)
+
+    @given(st.integers(2, 120), st.integers(1, 6), st.integers(0, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_small_geometries(self, r, ell, B, data):
+        # B up to 12 makes some windows longer than the register
+        p = Params(r=r, m=r.bit_length(), ell=ell)
+        j = data.draw(st.integers(0, p.two_n - 1))
+        assert reduce_window(j, B, p) == window_reference(j, B, p)
+
+    def test_every_window_of_small_registers(self):
+        # every frequency and every B <= 3, wrapping windows included
+        for n in range(3, 11):
+            p = Params(r=3, m=2, ell=n - 2)
+            per_offset = [lagrange_reduce(o, p) for o in range(p.two_n)]
+            for B in range(4):
+                for j in range(p.two_n):
+                    want = [per_offset[(j + k) % p.two_n] for k in range(-B, B + 1)]
+                    assert reduce_window(j, B, p) == want, (n, B, j)
+
+    @pytest.mark.parametrize("B", [1, 3, 10])
+    def test_wrapping_windows(self, B):
+        # windows that reach past 0 or 2**n are split where they wrap
+        for p in (Params(r=5, m=3, ell=4), Params(r=3, m=128, ell=128)):
+            N = p.two_n
+            for j in [*range(B + 1), *range(N - B - 1, N)]:
+                assert reduce_window(j, B, p) == window_reference(j, B, p), (N, j)
+
+    def test_single_offset(self):
+        # B = 0 is one run of one offset
+        rng = random.Random(0)
+        for n in (3, 10, 93, 248, 256):
+            p = Params(r=3, m=2, ell=n - 2)
+            for j in (0, 1, p.two_n - 1, *(rng.randrange(p.two_n) for _ in range(20))):
+                assert reduce_window(j, 0, p) == [lagrange_reduce(j, p)], (n, j)
+
+    @pytest.mark.parametrize("ell", [120, 128])
+    def test_matches_reference_at_large_registers(self, ell):
+        # 200 windows each at n = 248 and 256, B = 10: half centred on a
+        # peak of a random 128-bit order, half at random j
+        rng = random.Random(ell)
+        for i in range(200):
+            r = rng.getrandbits(128) | (1 << 127) | 1
+            p = Params(r=r, m=128, ell=ell)
+            if i % 2:
+                j = peak(rng.randrange(r), p).j0 % p.two_n
+            else:
+                j = rng.randrange(p.two_n)
+            assert reduce_window(j, 10, p) == window_reference(j, 10, p), (r, j)
+
+    def test_forced_certificate_failure(self, monkeypatch):
+        # a certificate that fails at its (k+1)-th test makes every offset
+        # finish alone from the multiples shared up to there
+        real = lattice._nonneg
+        finished_alone = []
+        real_lagrange = lattice._lagrange
+
+        def spy(*args):
+            finished_alone.append(args)
+            return real_lagrange(*args)
+
+        monkeypatch.setattr(lattice, "_lagrange", spy)
+        rng = random.Random(1)
+        r = rng.getrandbits(128) | (1 << 127) | 1
+        p = Params(r=r, m=128, ell=128)
+        j = peak(rng.randrange(r), p).j0 % p.two_n
+        want = window_reference(j, 10, p)
+        for k in (*range(9), 40, 100, 150):  # P, Q and swap tests alternate
+            calls = iter(range(k))
+
+            def failing(*args):
+                return next(calls, None) is not None and real(*args)
+
+            monkeypatch.setattr(lattice, "_nonneg", failing)
+            finished_alone.clear()
+            assert reduce_window(j, 10, p) == want, k
+            assert len(finished_alone) == 21, k

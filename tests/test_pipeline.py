@@ -94,6 +94,32 @@ class TestRunOnce:
         blind(SimulatedGroup(210), j, params, cfg)
         assert calls == [(j, 3)]
 
+    def test_window_reduced_once_per_trial(self, monkeypatch):
+        # the enumerate entry reduces the window through pipeline.lattice
+        # once, then enumerates each offset from its own reduced basis
+        reduced, enumerated = [], []
+
+        def counting_reduce(j, B, params):
+            reduced.append((j, B))
+            return lattice.reduce_window(j, B, params)
+
+        def counting_enumerate(j, params, rb):
+            enumerated.append((j, rb))
+            return lattice.enumerate_candidates(j, params, rb)
+
+        monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(
+            reduce_window=counting_reduce,
+            enumerate_candidates=counting_enumerate,
+            EnumerationBudgetExceeded=lattice.EnumerationBudgetExceeded,
+        ))
+        params = Params(r=210, m=8, ell=6, B=3)
+        cfg = RunConfig(m=8, ell=6, B=3, c=10.0, strategy="enumerate", delta=2)
+        j = peak_frequency(5, params)
+        blind(SimulatedGroup(210), j, params, cfg)
+        offsets = [(j + k) % params.two_n for k in range(-3, 4)]
+        assert reduced == [(j, 3)]
+        assert enumerated == [(o, lattice.lagrange_reduce(o, params)) for o in offsets]
+
     @pytest.mark.parametrize("strategy, module, solver", [
         ("lattice", lattice, "solve_shortest"),
     ], ids=["lattice"])
@@ -153,7 +179,7 @@ class TestRunOnce:
     def test_budget_outcome(self, monkeypatch):
         import orderlab.pipeline as pipeline_mod
 
-        def explode(j, params):
+        def explode(j, params, rb):
             raise EnumerationBudgetExceeded("forced")
 
         monkeypatch.setattr(pipeline_mod.lattice, "enumerate_candidates", explode)

@@ -1,12 +1,13 @@
 """Smooth-order recovery algorithms, candidate filtering, exponent metering."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderlab.factorint import factorize
-from orderlab.model import Rng, SimulatedGroup
+from orderlab.model import ModNGroup, Rng, SimulatedGroup
 from orderlab.recovery import (
     ExponentMeter,
     SmoothnessContext,
@@ -326,3 +327,194 @@ class TestBudgetFormulas:
         assert len(ctx2.primes) == 1
         assert tree_recovery_exponent_budget(ctx2) == 2 + 0 + 1 * 1
         assert len(ctx.primes) == 2
+
+
+def _ref_pow(group, x, k: int, meter: ExponentMeter | None):
+    if meter is not None:
+        meter.add(k)
+    return group.pow(x, k)
+
+
+def reference_recover_order_stack(group, g, r_tilde, ctx, meter=None, trace=None):
+    """recover_order_stack metering every power through ExponentMeter.add."""
+    if not 1 <= r_tilde < (1 << ctx.m):
+        return None
+    x = _ref_pow(group, g, r_tilde, meter)
+    if group.is_identity(x):
+        return r_tilde
+    stack = []
+    for q in ctx.primes:
+        e = ctx.exponents[q]
+        stack.append((x, q, e))
+        x = _ref_pow(group, x, q ** e, meter)
+        if group.is_identity(x):
+            break
+    if not group.is_identity(x):
+        return None
+    d = 1
+    if trace is not None:
+        trace.append(d)
+    while stack:
+        x, q, e = stack.pop()
+        x = _ref_pow(group, x, d, meter)
+        for _ in range(e):
+            if group.is_identity(x):
+                break
+            x = _ref_pow(group, x, q, meter)
+            d *= q
+            if trace is not None:
+                trace.append(d)
+    return d * r_tilde
+
+
+def reference_recover_order_tree(group, g, r_tilde, ctx, meter=None):
+    """recover_order_tree with a recursive split and per-power metering."""
+    if not 1 <= r_tilde < (1 << ctx.m):
+        return None
+    x = _ref_pow(group, g, r_tilde, meter)
+
+    def split(x, node):
+        if len(node) == 1:
+            return [(node[0], x)]
+        d_left, left, d_right, right = node
+        return split(_ref_pow(group, x, d_left, meter), left) + split(
+            _ref_pow(group, x, d_right, meter), right
+        )
+
+    d = 1
+    for q, leaf in split(x, ctx.split_tree):
+        cap = ctx.exponents[q]
+        taken = 0
+        while not group.is_identity(leaf):
+            if taken == cap:
+                return None
+            leaf = _ref_pow(group, leaf, q, meter)
+            d *= q
+            taken += 1
+    return d * r_tilde
+
+
+def reference_filter_candidates(group, g, candidates, ctx, meter=None):
+    """filter_candidates with per-power metering."""
+    x = _ref_pow(group, g, ctx.smooth_exponent, meter)
+    mu = 0
+    accepted, dismissed, survivors = set(), set(), []
+    for cand in candidates:
+        if not 1 <= cand < (1 << ctx.m):
+            continue
+        if cand in accepted:
+            continue
+        reduced = math.gcd(cand, mu) if mu else cand
+        if reduced in dismissed:
+            continue
+        if group.is_identity(_ref_pow(group, x, reduced, meter)):
+            accepted.add(cand)
+            mu = math.gcd(cand * ctx.smooth_exponent, mu)
+            survivors.append(cand)
+        else:
+            dismissed.add(reduced)
+    return survivors, mu
+
+
+def assert_meters_like_reference(fn, reference, *args):
+    """Same result, total_bits and operations as the reference, and the
+    same result with meter=None; returns the result."""
+    got_meter, want_meter = ExponentMeter(), ExponentMeter()
+    got = fn(*args, meter=got_meter)
+    want = reference(*args, meter=want_meter)
+    assert got == want
+    assert (got_meter.total_bits, got_meter.operations) == (
+        want_meter.total_bits,
+        want_meter.operations,
+    )
+    assert fn(*args) == want
+    return got
+
+
+def group_and_element(kind: str, data):
+    """A SimulatedGroup of order below 5000 or a ModNGroup of an odd
+    modulus below 20000, an element of it and its register width m."""
+    if kind == "simulated":
+        r = data.draw(st.integers(2, 5000))
+        group = SimulatedGroup(r)
+        return group, group.element(data.draw(st.integers(0, r - 1))), r.bit_length()
+    N = data.draw(st.integers(2, 10_000)) * 2 + 1
+    x = data.draw(st.integers(2, N - 1))
+    while math.gcd(x, N) != 1:
+        x += 1
+    return ModNGroup(N), x % N, N.bit_length()
+
+
+class TestMeterOracle:
+    """The recovery functions keep their exponent totals in locals; each
+    gives the per-power reference's result, survivors, mu, total_bits and
+    operations."""
+
+    @given(st.sampled_from(["simulated", "modn"]), st.sampled_from([1, 1.5, 2, 5, 10]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_recovery_matches_reference(self, kind, c, data):
+        group, g, m = group_and_element(kind, data)
+        ctx = SmoothnessContext.build(c, m)
+        r_tilde = data.draw(st.integers(-2, (1 << m) + 2))
+        assert_meters_like_reference(
+            recover_order_tree, reference_recover_order_tree, group, g, r_tilde, ctx
+        )
+        assert_meters_like_reference(
+            recover_order_stack, reference_recover_order_stack, group, g, r_tilde, ctx
+        )
+        trace: list[int] = []
+        want: list[int] = []
+        recover_order_stack(group, g, r_tilde, ctx, trace=trace)
+        reference_recover_order_stack(group, g, r_tilde, ctx, trace=want)
+        assert trace == want
+
+    @given(st.sampled_from(["simulated", "modn"]), st.sampled_from([1, 1.5, 2, 5, 10]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_filter_matches_reference(self, kind, c, data):
+        group, g, m = group_and_element(kind, data)
+        ctx = SmoothnessContext.build(c, m)
+        # repeats and out-of-range values run the skip paths
+        candidates = data.draw(st.lists(st.integers(-2, (1 << m) + 2), max_size=40))
+        candidates += data.draw(st.lists(st.sampled_from(candidates), max_size=10)) if candidates else []
+        assert_meters_like_reference(
+            filter_candidates, reference_filter_candidates, group, g, candidates, ctx
+        )
+
+    def test_unsmooth_early_exits(self):
+        # every r_tilde of every order below 130 at c = 1: the forward
+        # pass of the stack and a leaf of the tree run out of prime powers
+        # on the unsmooth ones, and both outcomes occur
+        outcomes = set()
+        for r in range(2, 130):
+            group = SimulatedGroup(r)
+            ctx = SmoothnessContext.build(1, max(2, r.bit_length()))
+            for r_tilde in range(1, 1 << ctx.m):
+                got = assert_meters_like_reference(
+                    recover_order_tree, reference_recover_order_tree, group, 1, r_tilde, ctx
+                )
+                assert got == assert_meters_like_reference(
+                    recover_order_stack, reference_recover_order_stack, group, 1, r_tilde, ctx
+                )
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_at_the_monte_carlo_context(self):
+        # m = 128, c = 25 (cm = 3200): the split tree of 450 primes and
+        # candidates r / d for smooth d, for the prime 3203 > cm, and for
+        # 2**13 beyond the cap 2**11
+        rng = random.Random(14)
+        ctx = SmoothnessContext.build(25.0, 128)
+        for cofactor in (1, 3, 5 * 7, 2 ** 11 * 3001, 3203, 2 ** 13):
+            r_tilde = rng.getrandbits(100) | 1
+            group = SimulatedGroup(r_tilde * cofactor)
+            cands = [r_tilde, rng.getrandbits(128), r_tilde * cofactor, r_tilde]
+            assert_meters_like_reference(
+                filter_candidates, reference_filter_candidates, group, 1, cands, ctx
+            )
+            for cand in cands:
+                assert_meters_like_reference(
+                    recover_order_tree, reference_recover_order_tree, group, 1, cand, ctx
+                )
+                assert_meters_like_reference(
+                    recover_order_stack, reference_recover_order_stack, group, 1, cand, ctx
+                )
