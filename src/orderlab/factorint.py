@@ -1,18 +1,62 @@
 """Desk-scale integer factorization for verification and ground truth.
 
-Trial division by the primes below 2**10, Miller-Rabin, and Brent-cycle
-rho.  Sized for the moduli the laboratory actually factors (order
-candidates and test semiprimes up to a hundred bits or so): factors
-above the trial-division table are left to rho, and primality is
-decided by a base set that is exact at these sizes.  A work budget
-turns pathological inputs into a distinct timeout instead of silent
-failure.
+Miller-Rabin with a base set that is exact at these sizes, integer
+roots, perfect powers, and factorize.  factorize trial-divides by the
+primes below 2**10 and then splits each composite cofactor v that is
+not a perfect power:
+
+    v < 2**50   by Lehman's method (_lehman), a bounded deterministic search;
+    v >= 2**50  by Brent-cycle rho under a work budget, which turns
+                pathological inputs into a distinct timeout.
+
+Sized for the moduli the laboratory factors: order candidates, the
+Carmichael values of its moduli, and test semiprimes up to a hundred
+bits or so.
+
+Lehman's theorem (R. S. Lehman, "Factoring large integers", Math. Comp.
+28 (1974), 637-646): let v > 21 be composite with no prime factor at or
+below v**(1/3).  Then some k with 1 <= k <= v**(1/3) + 1 and some
+integer a with s = sqrt(4 k v) <= a <= s + v**(1/6) / (4 sqrt(k)) make
+a**2 - 4 k v = b**2 a square, and 1 < gcd(a + b, v) < v.
+
+_lehman is exact for v < 2**50.  Trial division up to v**(1/3) < 2**17
+runs in float64: when p divides v < 2**53 the quotient v / p is an
+exact integer, and a quotient that rounds to an integer is confirmed in
+Python ints.  The sweep over k = 1..floor(v**(1/3)) + 1, with
+s = sqrt(4 k v) < 2**35 and eps = 2**-10:
+
+  * Since (a - s)(a + s) = a**2 - 4 k v, a <= s + v**(1/6) / (4 sqrt(k))
+    exactly when a**2 - 4 k v <= v**(2/3) + v**(1/3) / (16 k).  The
+    sweep keeps the a with 0 <= a**2 - 4 k v <= D, where
+    D = floor(v**(2/3) + v**(1/3) / 16) + 1 >= that bound for every k.
+  * For k it tries a = lo .. lo + c - 1, where lo is the floor of
+    s + 1 - eps computed in float64: a product, a square root and a sum,
+    each correctly rounded, within 2**-16 < eps of the exact value, so
+    s - 1 < lo <= ceil(s).
+    An a with a**2 - 4 k v <= D has a - s <= D / (2 s), and
+    c = floor(D / (2 s0) + 2 eps) + 1 for the first k0 <= k of the
+    block, s0 = sqrt(4 k0 v), so lo + c - 1 >= floor(s + D / (2 s)).
+    The a tried and kept are therefore exactly those with
+    0 <= a**2 - 4 k v <= D, which hold Lehman's range.
+  * Each a tried is below 2**35, so a*a - 4 k v in wrapping uint64 is
+    the true value mod 2**64.  The true value lies above -2 s > -2**36
+    and far below 2**63, so the wrapped value is at most D exactly when
+    the true value lies in [0, D].
+  * D < 2**34, so such a difference d is exact in float64, and its
+    correctly rounded sqrt is an integer exactly when d is a square: a
+    non-square d lies strictly between m**2 and (m + 1)**2 for some
+    m < 2**17, so its sqrt lies at least 1/(2 m + 2) from both, and
+    rounding moves it by at most (m + 1) 2**-53.  Each hit is confirmed
+    with math.isqrt and the gcd.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+
+import numpy as np
 
 from .recovery import primes_up_to
 
@@ -24,6 +68,12 @@ _MR_BASES = _SMALL_PRIMES[:13]  # 2 .. 41
 _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_SEEDED_ROUNDS = 64
 _DEFAULT_RHO_BUDGET = 1 << 24
+# composite cofactors below this bound are split by Lehman's method, above
+# it by rho; the bound keeps every a**2 - 4 k v of the sweep exact in
+# wrapping uint64 and float64 (module docstring)
+_LEHMAN_LIMIT = 1 << 50
+_BLOCK = 4096  # entries per numpy temporary of the Lehman split
+_EPS = 2.0 ** -10  # float-safe margin on the ends of each range of a
 
 
 class FactorizationTimeout(RuntimeError):
@@ -108,6 +158,56 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
+@functools.cache
+def _lehman_primes() -> np.ndarray:
+    """The primes in (2**10, (2**50)**(1/3)), as read-only uint64, built on
+    first use."""
+    primes = primes_up_to(iroot(_LEHMAN_LIMIT - 1, 3))[len(_SMALL_PRIMES) :]
+    table = np.array(primes, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
+
+
+def _lehman(v: int) -> int:
+    """A proper factor of a composite v < 2**50 that is not a perfect
+    power and has no prime factor below 2**10, by Lehman's method.
+
+    Trial division by the primes up to v**(1/3) returns the least prime
+    factor there.  Otherwise the sweep runs over k = 1..floor(v**(1/3)) + 1
+    in blocks and returns the first proper gcd(a + b, v), in (k, a)
+    order, with a**2 - 4 k v = b**2 <= D.  The module docstring shows
+    that these a hold Lehman's range and that each test is exact.
+    """
+    third = iroot(v, 3)
+    primes = _lehman_primes()
+    top = int(primes.searchsorted(np.uint64(third), side="right"))
+    for start in range(0, top, _BLOCK):
+        q = v / primes[start : min(start + _BLOCK, top)]
+        for i in np.flatnonzero(q == np.floor(q)):
+            p = int(primes[start + i])
+            if v % p == 0:
+                return p
+    four_v = 4 * v
+    D = int(v ** (2 / 3) + v ** (1 / 3) / 16) + 1
+    k, k_end = 1, third + 2
+    while k < k_end:
+        cols = int(D / (2 * math.sqrt(k * four_v)) + 2 * _EPS) + 1
+        ks = np.arange(k, min(k + _BLOCK // cols, k_end), dtype=np.uint64)
+        lo = (np.sqrt(ks * float(four_v)) + (1 - _EPS)).astype(np.uint64)
+        a = lo[:, None] + np.arange(cols, dtype=np.uint64)
+        d = a * a - (ks * np.uint64(four_v))[:, None]
+        f = np.sqrt(d)
+        for i in np.flatnonzero(f == np.floor(f)):
+            di = int(d.flat[i])
+            b = math.isqrt(di)
+            if di <= D and b * b == di:
+                g = math.gcd(int(a.flat[i]) + b, v)
+                if 1 < g < v:
+                    return g
+        k += len(ks)
+    raise AssertionError(f"Lehman's sweep found no factor of {v}")
+
+
 def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int | None:
     """One Brent-cycle attempt; returns a nontrivial factor or None."""
     if n % 2 == 0:
@@ -147,10 +247,13 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int | None:
 def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
     """Complete factorization {prime: exponent}.
 
-    Trial division by the primes below 2**10, then recursive Brent rho
-    with Miller-Rabin certification on the cofactor.  Raises
-    FactorizationTimeout when the rho budget runs out, which callers
-    report distinctly from a wrong-order verdict.
+    Trial division by the primes below 2**10, then, for each cofactor
+    that Miller-Rabin does not certify prime and that is not a perfect
+    power, a split by Lehman's method below 2**50 and by Brent rho from
+    2**50 up.  Below 2**50 the work is bounded and deterministic, and
+    rho_budget does not apply.  Raises FactorizationTimeout when the rho
+    budget runs out, which callers report distinctly from a wrong-order
+    verdict.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -182,9 +285,12 @@ def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
             for _ in range(k):
                 stack.append(base)
             continue
-        f = None
-        while f is None:
-            f = _brent_rho(v, rng, budget)
+        if v < _LEHMAN_LIMIT:
+            f = _lehman(v)
+        else:
+            f = None
+            while f is None:
+                f = _brent_rho(v, rng, budget)
         stack.append(f)
         stack.append(v // f)
     return out

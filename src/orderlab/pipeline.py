@@ -59,9 +59,10 @@ def _window(j: int, params: Params) -> list[int]:
 STRATEGIES = {
     # the last continued-fraction convergent below 2**(n/2), the whole window in one list
     "cf": Strategy(lambda j, p: (cf.solve_cf_window(j, p.B, p),), "sqrt"),
-    # the shortest vector of the reduced frequency lattice
+    # the shortest vector of each offset's reduced frequency lattice
+    # (lattice.solve_shortest), the window reduced once, in one list
     "lattice": Strategy(
-        lambda j, p: ([lattice.solve_shortest(o, p)] for o in _window(j, p)), "sqrt"
+        lambda j, p: ([abs(rb.s1.y2) for rb in lattice.reduce_window(j, p.B, p)],), "sqrt"
     ),
     # every short lattice vector, with the reduced register ell = m - delta; the
     # window is reduced once and each offset enumerated from its own basis

@@ -1,12 +1,13 @@
-"""Reference factorization utilities: primality, roots, rho."""
+"""Reference factorization utilities: primality, roots, Lehman, rho."""
 
 import math
 import random
+import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from orderlab import factorint
+from orderlab import bounds, factorint
 from orderlab.factorint import (
     FactorizationTimeout,
     factorize,
@@ -14,6 +15,9 @@ from orderlab.factorint import (
     is_probable_prime,
     perfect_power,
 )
+from orderlab.recovery import primes_up_to
+
+LIMIT = factorint._LEHMAN_LIMIT
 
 
 def sieve(limit: int) -> set[int]:
@@ -216,3 +220,246 @@ class TestFactorize:
         a, b = 1099511627791, 1099511627803
         with pytest.raises(FactorizationTimeout):
             factorize(a * b, rho_budget=100)
+
+    def test_lehman_ignores_rho_budget(self):
+        # below 2**50 the split is Lehman's bounded search, which takes no budget
+        p, q = 16777213, 16777199
+        assert factorize(p * q, rho_budget=1) == {p: 1, q: 1}
+
+
+def reference_factorize(n: int) -> dict[int, int]:
+    """factorize with Brent rho on every composite cofactor, as it was
+    before the Lehman split."""
+    out: dict[int, int] = {}
+    for p in factorint._SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n == 1:
+        return out
+    if p * p > n:
+        out[n] = out.get(n, 0) + 1
+        return out
+    budget = [1 << 40]
+    rng = random.Random(n ^ 0xD1B54A32D192ED03)
+    stack = [n]
+    while stack:
+        v = stack.pop()
+        if is_probable_prime(v):
+            out[v] = out.get(v, 0) + 1
+        elif (pp := perfect_power(v)) is not None:
+            stack += [pp[0]] * pp[1]
+        else:
+            f = None
+            while f is None:
+                f = factorint._brent_rho(v, rng, budget)
+            stack += [f, v // f]
+    return out
+
+
+def reference_lehman(v: int) -> tuple[int, int, int]:
+    """_lehman in Python ints, as (k, a, factor): the least prime factor
+    in (2**10, v**(1/3)] with k = a = 0, else the first proper
+    gcd(a + b, v) in (k, a) order over k = 1..floor(v**(1/3)) + 1 and
+    the a >= sqrt(4 k v) with a**2 - 4 k v = b**2 <= D."""
+    third = iroot(v, 3)
+    for p in range(1 << 10, third + 1):
+        if v % p == 0:
+            return 0, 0, p
+    D = int(v ** (2 / 3) + v ** (1 / 3) / 16) + 1
+    for k in range(1, third + 2):
+        a = math.isqrt(4 * k * v - 1) + 1
+        while (d := a * a - 4 * k * v) <= D:
+            b = math.isqrt(d)
+            if b * b == d and 1 < math.gcd(a + b, v) < v:
+                return k, a, math.gcd(a + b, v)
+            a += 1
+    raise AssertionError(f"no factor of {v}")
+
+
+def next_prime(n: int) -> int:
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+def prev_prime(n: int) -> int:
+    while not is_probable_prime(n):
+        n -= 1
+    return n
+
+
+def factor_op_moduli(seed: int, count: int = 240) -> list[int]:
+    """The moduli of the `factor` benchmark's op list at seed, drawn as
+    perfbench/workloads.py draws them: products of two distinct 24-bit
+    primes that have 48 bits."""
+    rnd = random.Random(f"factor:{seed}")
+
+    def prime():
+        while True:
+            p = rnd.getrandbits(24) | (1 << 23) | 1
+            if is_probable_prime(p):
+                return p
+
+    out = []
+    while len(out) < count:
+        p, q = prime(), prime()
+        if p != q and (p * q).bit_length() == 48:
+            out.append(p * q)
+            rnd.getrandbits(32)  # the op's seed
+    return out
+
+
+def expected(*primes: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for p in primes:
+        out[p] = out.get(p, 0) + 1
+    return out
+
+
+class TestLehmanSplit:
+    """Composite cofactors below 2**50 are split by Lehman's method; the
+    factorization equals the rho-only reference's."""
+
+    @given(st.lists(st.integers(1 << 10, 1 << 25), min_size=2, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_products_of_two_or_three_primes(self, starts):
+        primes = [next_prime(x) for x in starts]
+        n = math.prod(primes)
+        assume(n < LIMIT)
+        assert factorize(n) == reference_factorize(n) == expected(*primes)
+
+    @given(st.integers(1 << 10, 1 << 25), st.integers(1 << 10, 1 << 25))
+    @settings(max_examples=100, deadline=None)
+    def test_split_matches_int_reference(self, x, y):
+        # the numpy sweep returns the same first factor as the sweep in ints
+        p, q = next_prime(x), next_prime(y)
+        assume(p != q and p * q < LIMIT)
+        assert factorint._lehman(p * q) == reference_lehman(p * q)[2]
+
+    def test_prime_squares_and_cubes(self):
+        rnd = random.Random(1974)
+        squares = [1031, 1033, prev_prime(1 << 25)] + [next_prime(rnd.getrandbits(25)) for _ in range(20)]
+        cubes = [1031, prev_prime(iroot(LIMIT - 1, 3))] + [next_prime(rnd.getrandbits(16)) for _ in range(20)]
+        for p in squares:
+            if p > 1 << 10:
+                assert factorize(p * p) == reference_factorize(p * p) == {p: 2}
+        for p in cubes:
+            if p > 1 << 10:
+                assert factorize(p ** 3) == reference_factorize(p ** 3) == {p: 3}
+        # p**2 q is no perfect power; its least prime factor is at most v**(1/3)
+        p, q = 1031, prev_prime(LIMIT // 1031 ** 2)
+        assert factorize(p * p * q) == reference_factorize(p * p * q) == {p: 2, q: 1}
+
+    def test_trial_division_branch(self):
+        for q in (next_prime(1 << 26), prev_prime((LIMIT - 1) // 1031)):
+            p = 1031  # just above 2**10
+            assert reference_lehman(p * q) == (0, 0, p)
+            assert factorint._lehman(p * q) == p
+            assert factorize(p * q) == reference_factorize(p * q) == {p: 1, q: 1}
+        # with q prime, p <= (p q)**(1/3) exactly when p * p <= q
+        for q in (next_prime(1 << 26), prev_prime(1 << 33)):
+            p = prev_prime(math.isqrt(q))  # just below v**(1/3): trial division
+            assert factorint._lehman(p * q) == p
+            assert factorize(p * q) == reference_factorize(p * q) == {p: 1, q: 1}
+            p = next_prime(math.isqrt(q) + 1)  # just above v**(1/3): the sweep
+            assert p ** 3 > p * q
+            assert factorint._lehman(p * q) == reference_lehman(p * q)[2]
+            assert factorize(p * q) == reference_factorize(p * q) == {p: 1, q: 1}
+
+    def test_balanced_and_unbalanced_semiprimes(self):
+        rnd = random.Random(28)
+        cases = []
+        for _ in range(10):
+            p = next_prime(rnd.getrandbits(23) | 1 << 24)
+            cases.append((p, next_prime(p + 2)))  # balanced: q just above p
+            cases.append((p, next_prime(p + rnd.getrandbits(20))))
+            small = next_prime(rnd.randrange(1 << 10, 1 << 12))
+            cases.append((small, prev_prime((LIMIT - 1) // small)))  # very unbalanced
+        for p, q in cases:
+            assert p * q < LIMIT
+            assert factorize(p * q) == reference_factorize(p * q) == {p: 1, q: 1}
+            assert factorint._lehman(p * q) in (p, q)
+
+    def test_either_side_of_the_cutoff(self, monkeypatch):
+        # Lehman splits every composite cofactor below 2**50, rho every one from 2**50 up
+        p = prev_prime(1 << 25)
+        below = [(p, prev_prime((LIMIT - 1) // p)), (1031, prev_prime((LIMIT - 1) // 1031))]
+        above = [(p, next_prime(LIMIT // p + 1)), (1031, next_prime(LIMIT // 1031 + 1))]
+        cases = [(p, q, "lehman") for p, q in below] + [(p, q, "rho") for p, q in above]
+        for p, q, _ in cases:
+            assert reference_factorize(p * q) == {p: 1, q: 1}
+        calls = []
+        real_lehman, real_rho = factorint._lehman, factorint._brent_rho
+        monkeypatch.setattr(factorint, "_lehman", lambda v: calls.append(("lehman", v)) or real_lehman(v))
+        monkeypatch.setattr(
+            factorint, "_brent_rho", lambda v, *a: calls.append(("rho", v)) or real_rho(v, *a)
+        )
+        for p, q, method in cases:
+            calls.clear()
+            assert (p * q < LIMIT) == (method == "lehman")
+            assert factorize(p * q) == {p: 1, q: 1}
+            assert {m for m, _ in calls} == {method} and calls[0][1] == p * q
+
+    def test_factor_op_moduli_and_their_carmichael_values(self):
+        for n in factor_op_moduli(8000):
+            f = factorize(n)
+            assert f == reference_factorize(n)
+            lam = bounds.carmichael_value(f)
+            assert factorize(lam) == reference_factorize(lam)
+
+    def test_every_product_of_two_primes_to_2_13(self):
+        primes = [p for p in primes_up_to(1 << 13) if p > 1 << 10]
+        for i, p in enumerate(primes):
+            for q in primes[i + 1 :]:
+                assert factorint._lehman(p * q) in (p, q), (p, q)
+
+    def test_top_of_the_range_at_k_1(self):
+        # at k = 1 the hit is a = p + q, b = q - p, inside Lehman's range
+        # exactly when (q - p)**2 <= v**(2/3) + v**(1/3)/16; these pairs
+        # overshoot v**(2/3) by most of the v**(1/3)/16 term
+        for p, q in ((108587, 110879), (124351, 126859)):
+            v = p * q
+            assert v ** (2 / 3) + v ** (1 / 3) / 16 - 50 < (q - p) ** 2 <= v ** (2 / 3) + v ** (1 / 3) / 16
+            assert reference_lehman(v) == (1, p + q, q)
+            assert factorint._lehman(v) == q
+
+    def test_first_a_just_above_the_root(self, monkeypatch):
+        # q and p = 2 q + 1 prime: at k = 2, a = p + 2 q gives b = 1, and
+        # sqrt(8 v) = sqrt(a**2 - 1) lies 1 / (2 a) below a, so float64
+        # rounds it to a; the sweep must still start at a, not a + 1.  Its
+        # multiples at k = 2 t**2 give the same factor, so the spy on gcd
+        # tells which a + b the sweep tried first.
+        tried = []
+
+        def gcd(x, y):
+            tried.append(x)
+            return math.gcd(x, y)
+
+        monkeypatch.setattr(factorint, "math", types.SimpleNamespace(
+            gcd=gcd, isqrt=math.isqrt, sqrt=math.sqrt
+        ))
+        for q in (23726429, 23726063):
+            p = 2 * q + 1
+            v = p * q
+            assert v < LIMIT and math.sqrt(8 * v) == p + 2 * q
+            assert reference_lehman(v) == (2, p + 2 * q, p)
+            tried.clear()
+            assert factorint._lehman(v) == p
+            assert tried == [p + 2 * q + 1]
+
+    def test_largest_k_and_a_at_the_cutoff(self):
+        # p / q is near 246 / 419, whose continued fraction has only 1s and
+        # 2s, so the first hit is at k = 246 * 419, next to the last k; there
+        # a**2 and 4 k v pass 2**64 and the uint64 difference wraps
+        p, q = 25708741, 43788467
+        v = p * q
+        assert v < LIMIT and iroot(v, 3) + 1 == 104028
+        k, a, f = reference_lehman(v)
+        assert (k, a, f) == (246 * 419, 21543925361, q)
+        assert a.bit_length() == 35 and (a * a).bit_length() > 64 and (4 * k * v).bit_length() > 64
+        assert factorint._lehman(v) == q
+        assert factorize(v) == {p: 1, q: 1}
+

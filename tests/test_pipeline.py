@@ -7,7 +7,7 @@ import random
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orderlab import cf, cli, lattice, pipeline
 from orderlab.bounds import single_run_success_bound
@@ -120,24 +120,23 @@ class TestRunOnce:
         assert reduced == [(j, 3)]
         assert enumerated == [(o, lattice.lagrange_reduce(o, params)) for o in offsets]
 
-    @pytest.mark.parametrize("strategy, module, solver", [
-        ("lattice", lattice, "solve_shortest"),
-    ], ids=["lattice"])
-    def test_solver_looked_up_per_offset(self, monkeypatch, strategy, module, solver):
-        # the registry reaches the solver through its module at call time
+    def test_lattice_window_reduced_once_per_trial(self, monkeypatch):
+        # the lattice entry reduces the window through pipeline.lattice once
+        # and takes each offset's shortest vector, never solve_shortest
         calls = []
-        real = getattr(module, solver)
 
-        def counting(j, params):
-            calls.append(j)
-            return real(j, params)
+        def counting(j, B, params):
+            calls.append((j, B))
+            return lattice.reduce_window(j, B, params)
 
-        monkeypatch.setattr(module, solver, counting)
+        monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(
+            reduce_window=counting, EnumerationBudgetExceeded=lattice.EnumerationBudgetExceeded,
+        ))
         params = Params(r=210, m=8, ell=8, B=3)
-        cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy=strategy)
+        cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy="lattice")
         j = peak_frequency(5, params)
         blind(SimulatedGroup(210), j, params, cfg)
-        assert calls == [(j + k) % params.two_n for k in range(-3, 4)]
+        assert calls == [(j, 3)]
 
     def test_tail_outcome(self):
         cfg = RunConfig(m=4, ell=4, B=1, c=10.0, t_max=1)
@@ -270,6 +269,38 @@ class TestPostProcess:
                         assert hit == (order == r), (cfg, r, j)
                         outcomes.add(hit)
         assert outcomes == {True, False}
+
+
+class TestLatticeStrategy:
+    """The lattice entry gives solve_shortest of each offset, in offset
+    order, from one reduction of the window."""
+
+    @staticmethod
+    def assert_per_offset(j: int, params: Params):
+        got = list(itertools.chain.from_iterable(STRATEGIES["lattice"].candidates(j, params)))
+        window = [(j + k) % params.two_n for k in range(-params.B, params.B + 1)]
+        assert got == [lattice.solve_shortest(o, params) for o in window], j
+
+    @given(st.integers(2, 300), st.integers(0, 3), st.integers(1, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_small_geometries(self, r, extra_bits, B, data):
+        m = r.bit_length() + extra_bits
+        ell = data.draw(st.integers(1, m))
+        B = min(B, ((1 << (m + ell)) - r) // (2 * r))  # run_once's clamp
+        assume(B >= 1)
+        p = Params(r=r, m=m, ell=ell, B=B)
+        self.assert_per_offset(data.draw(st.integers(0, p.two_n - 1)), p)
+
+    def test_near_peaks_at_128_bits(self):
+        rnd = random.Random(20222)
+        for _ in range(20):
+            r = rnd.getrandbits(128) | (1 << 127)
+            p = Params(r=r, m=128, ell=128, B=10)
+            self.assert_per_offset(peak(rnd.randrange(r), p).j0 % p.two_n, p)
+        # windows that wrap past 0 and 2**n
+        p = Params(r=3, m=128, ell=128, B=10)
+        for j in (0, 5, p.two_n - 3):
+            self.assert_per_offset(j, p)
 
 
 class TestWilson:
