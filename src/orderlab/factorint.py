@@ -1,7 +1,11 @@
 """Desk-scale integer factorization for verification and ground truth.
 
 Miller-Rabin with a base set that is exact at these sizes, integer
-roots, perfect powers, and factorize.  factorize trial-divides by the
+roots, perfect powers, and factorize.  is_probable_prime and
+perfect_power are pure functions of n and keep their last
+_VERDICT_CACHE = 256 verdicts, so the callers that test the same
+integer in turn (factorize, and the pipeline's factoring demo and
+split) compute each verdict once.  factorize trial-divides by the
 primes below 2**10 and then splits each composite cofactor v that is
 not a perfect power:
 
@@ -74,19 +78,23 @@ _DEFAULT_RHO_BUDGET = 1 << 24
 _LEHMAN_LIMIT = 1 << 50
 _BLOCK = 4096  # entries per numpy temporary of the Lehman split
 _EPS = 2.0 ** -10  # float-safe margin on the ends of each range of a
+_VERDICT_CACHE = 256  # verdicts kept by is_probable_prime and perfect_power each
 
 
 class FactorizationTimeout(RuntimeError):
     """The factorization work budget ran out before completion."""
 
 
+@functools.lru_cache(maxsize=_VERDICT_CACHE)
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Below 3,317,044,064,679,887,385,961,981 the bases are the 13 primes
     2 .. 41, which make the verdict exact there.  From that bound up,
     _MR_SEEDED_ROUNDS = 64 bases are drawn from a stream seeded by n
-    itself, so verdicts are deterministic per input.
+    itself, so verdicts are deterministic per input.  The verdict is a
+    pure function of n, memoized for the last _VERDICT_CACHE arguments;
+    __wrapped__ is the uncached test.
     """
     if n < 2:
         return False
@@ -141,11 +149,14 @@ def _prime_exponents(limit: int):
             yield k
 
 
+@functools.lru_cache(maxsize=_VERDICT_CACHE)
 def perfect_power(n: int) -> tuple[int, int] | None:
     """(base, k) with base**k == n and k >= 2 least, or None.
 
     Only prime k are tried: when n = b**k for a composite k = k1 * k2,
-    then also n = (b**k2)**k1, so the least k is always prime.
+    then also n = (b**k2)**k1, so the least k is always prime.  The
+    result is a pure function of n, memoized for the last
+    _VERDICT_CACHE arguments; __wrapped__ is the uncached search.
     """
     if n < 4:
         return None

@@ -350,16 +350,35 @@ def report_to_csv(report: MonteCarloReport) -> str:
     return ",".join(row) + "\n" + ",".join(cells) + "\n"
 
 
+def _carmichael_primes(factorization: dict[int, int]) -> set[int]:
+    """The primes of lambda(N), N the product of p**e over factorization.
+
+    lambda(N) is the lcm of p**(e-1) (p - 1) over p**e || N, so its
+    primes are those of each p - 1, and each p with e >= 2.
+    """
+    primes = {p for p, e in factorization.items() if e >= 2}
+    for p in factorization:
+        primes.update(factorize(p - 1))
+    return primes
+
+
 def true_order(N: int, g: int) -> int:
     """Ground-truth multiplicative order of g mod an odd N, by factoring.
+
+    Starts from lambda(N) (bounds.carmichael_value) and strips each of
+    its primes q while g**(order/q) == 1.  The primes come from the
+    factorizations of p - 1 over the primes p of N, never from
+    factoring lambda(N) itself.  Each q is stripped fully and on its
+    own, so the result is the exact order whatever order the primes
+    come in.
 
     Simulation harness only: the measurement sampler needs the real
     order, which at laboratory scale is obtained classically.  The
     post-processing pipeline never sees this value.
     """
-    lam = bounds.carmichael_value(factorize(N))
-    order = lam
-    for q in factorize(lam):
+    factorization = factorize(N)
+    order = bounds.carmichael_value(factorization)
+    for q in _carmichael_primes(factorization):
         while order % q == 0 and pow(g, order // q, N) == 1:
             order //= q
     return order
@@ -405,7 +424,9 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
     either passes a nontrivial square root of 1 (classic +-1 split) or
     stalls at x**R != 1, whose gcd with N separates the components whose
     local order divides R from the rest.  Parts are refined by gcd and
-    reduced by perfect powers and primality until all are prime.
+    reduced by perfect powers and primality until all are prime.  Never
+    factors: it reads only the memoized primality and perfect-power
+    verdicts, which it shares with factorize.
     """
     R = order << N.bit_length()
     s = (R & -R).bit_length() - 1
@@ -422,19 +443,16 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
                 out.add(p)
         return out
 
-    def reduce_part(p: int) -> list[int]:
-        while True:
-            pp = perfect_power(p)
-            if pp is None:
-                return [p]
+    def reduce_part(p: int) -> tuple[int, bool]:
+        """The base of p's perfect powers, and its primality verdict; a
+        prime is no perfect power, so that verdict ends the reduction."""
+        while not (prime := is_probable_prime(p)) and (pp := perfect_power(p)) is not None:
             p = pp[0]
+        return p, prime
 
     parts = {N}
     for _ in range(iterations):
-        composites = [
-            b for p in parts for b in reduce_part(p) if not is_probable_prime(b)
-        ]
-        if not composites:
+        if all(prime for _, prime in map(reduce_part, parts)):
             break
         x = rng.randrange(N - 2) + 2
         g1 = math.gcd(x, N)
@@ -457,14 +475,11 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
         else:
             parts = split_parts(parts, math.gcd(y - 1, N))
 
-    primes: list[int] = []
-    for p in parts:
-        for b in reduce_part(p):
-            if not is_probable_prime(b):
-                return None
-            primes.append(b)
+    reduced = [reduce_part(p) for p in parts]
+    if not all(prime for _, prime in reduced):
+        return None
     out: dict[int, int] = {}
-    for p in set(primes):
+    for p in {b for b, _ in reduced}:
         e = 0
         M = N
         while M % p == 0:

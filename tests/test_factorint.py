@@ -98,10 +98,13 @@ class TestIsProbablePrime:
         assert not is_probable_prime(n)
 
     def test_exact_bases_match_seeded_rounds(self, monkeypatch):
+        # the uncached test, so that no verdict of the exact bases is
+        # read back from the cache once the limit is patched
+        test = is_probable_prime.__wrapped__
         primes = sieve(10 ** 5)
-        exact = [is_probable_prime(n) for n in range(10 ** 5)]
+        exact = [test(n) for n in range(10 ** 5)]
         monkeypatch.setattr(factorint, "_MR_EXACT_LIMIT", 0)
-        seeded = [is_probable_prime(n) for n in range(10 ** 5)]
+        seeded = [test(n) for n in range(10 ** 5)]
         assert exact == seeded
         assert exact == [n in primes for n in range(10 ** 5)]
 

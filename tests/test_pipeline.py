@@ -9,8 +9,9 @@ import types
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orderlab import cf, cli, lattice, pipeline
-from orderlab.bounds import single_run_success_bound
+from orderlab import cf, cli, factorint, lattice, pipeline
+from orderlab.bounds import carmichael_value, single_run_success_bound
+from orderlab.factorint import factorize
 from orderlab.lattice import EnumerationBudgetExceeded
 from orderlab.model import Params, Rng, SimulatedGroup, peak
 from orderlab.pipeline import (
@@ -29,8 +30,9 @@ from orderlab.pipeline import (
     true_order,
     wilson_interval,
 )
-from orderlab.pipeline import _register_for_modulus
+from orderlab.pipeline import _carmichael_primes, _register_for_modulus, _split_with_order
 from orderlab.recovery import _RECOVERY, ExponentMeter, SmoothnessContext
+from test_factorint import factor_op_moduli
 
 
 def peak_frequency(z: int, params: Params) -> int:
@@ -565,6 +567,43 @@ class TestTrueOrder:
                 if r % f == 0:
                     assert pow(g, r // f, N) != 1
 
+    @staticmethod
+    def order_by_factoring_lambda(N: int, g: int) -> int:
+        """The least divisor d of lambda(N) with g**d == 1 mod N, with the
+        divisors taken from factorize(lambda(N))."""
+        divisors = [1]
+        for q, e in factorize(carmichael_value(factorize(N))).items():
+            divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+        return next(d for d in sorted(divisors) if pow(g, d, N) == 1)
+
+    @pytest.mark.parametrize(
+        "factorization",
+        [{3: 2, 5: 1}, {3: 4, 5: 1, 7: 1}, {3: 3, 11: 2}, {7: 3}, {1031: 2, 1033: 1}],
+    )
+    def test_prime_powers(self, factorization):
+        # the p**(e-1) term of lambda: each p with e >= 2 is a prime of lambda(N)
+        N = math.prod(p ** e for p, e in factorization.items())
+        assert factorize(N) == factorization
+        assert _carmichael_primes(factorization) == set(factorize(carmichael_value(factorization)))
+        rnd = random.Random(N)
+        gs = range(2, N - 1) if N < 5000 else [rnd.randrange(2, N - 1) for _ in range(200)]
+        for g in gs:
+            if math.gcd(g, N) != 1:
+                continue
+            got = true_order(N, g)
+            assert got == self.order_by_factoring_lambda(N, g), g
+            if N < 5000:
+                y, k = g, 1
+                while y != 1:
+                    y, k = y * g % N, k + 1
+                assert got == k, g
+
+    @pytest.mark.parametrize("seed", [8000, 9000])
+    def test_carmichael_primes_of_the_factor_op_moduli(self, seed):
+        for N in factor_op_moduli(seed):
+            f = factorize(N)
+            assert _carmichael_primes(f) == set(factorize(carmichael_value(f))), N
+
     def test_register_split(self):
         for N in (15, 21, 1023, 2 ** 48 - 1, 10 ** 12 + 39):
             m, ell = _register_for_modulus(N)
@@ -621,6 +660,23 @@ class TestFactorCompletely:
                 assert rep.factors == {min(a, b): 1, max(a, b): 1}
                 wins += 1
         assert wins >= 4
+
+    @pytest.mark.parametrize("N", [15, 21, 105, 255, 3233, 14441893 * 15194519])
+    def test_split_never_factors(self, N, monkeypatch):
+        # the split shares primality and perfect-power verdicts with
+        # factorize but never calls it: with factorize gone after the true
+        # order is known, the split still finds every prime (from a g of
+        # order lambda(N), which every split of N can use)
+        want = factorize(N)
+        lam = carmichael_value(want)
+        g = next(g for g in range(2, N) if math.gcd(g, N) == 1 and true_order(N, g) == lam)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the split must not factor")
+
+        monkeypatch.setattr(pipeline, "factorize", forbidden)
+        monkeypatch.setattr(factorint, "factorize", forbidden)
+        assert _split_with_order(N, lam, Rng(N), 32) == want
 
     def test_report_dict(self):
         rep = factor_completely(15, seed=7)
