@@ -17,24 +17,30 @@ precision, one argument at a time), the sampler's float64 masses
 (`_float_mass`, with a proven relative error bound, used only where that
 bound decides the walk exactly as `prob` would), and
 `prob_array`/`full_distribution` (vectorized 80-bit floats, small
-registers only).  The vectorized route
-reads its sines from one table of sin^2(pi k / 2**n), k in [0, 2**(n-1)],
-whose entries are the same long-double expression as a per-entry
-evaluation, so its output does not depend on the table.
+registers only).  The vectorized route reads its sines from one table
+of sin^2(pi k / 2**n), k in [0, 2**(n-1)], whose entries are the same
+long-double expression as a per-entry evaluation, so its output does
+not depend on the table.
 
 `prob_bruteforce` and `bruteforce_distribution` evaluate the defining
 double sum term by term and exist purely as oracles to check the closed
-form against.  The bulk one reads its terms from a cos/sin table of the
-unit circle built from a quarter wave, and shares neither table nor
-formula with the closed form.
+form against.  The bulk one reads its terms from one complex table of
+the unit circle, e^(2 pi i k / 2**n) for k in [0, 2**n), built from a
+quarter wave, and shares neither table nor formula with the closed
+form.
+
+Both tables depend on the register width only, not on r.  Each is built
+once, made read-only, and kept for the latest width alone, and only up
+to n = _TABLE_WIDTH_LIMIT; wider tables are built per call and dropped.
 
 Since alpha = r j mod 2**n repeats with period 2**n >> v in j, where
 2**v is the largest power of two dividing r, both bulk functions
-evaluate one period and tile it.
+evaluate one period and tile it when it is shorter than 2**n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -49,10 +55,15 @@ from .model import DerivedParams, Params, Rng, derive, peak
 # this width they would be both slow and inaccurate.
 _VECTOR_WIDTH_LIMIT = 24
 
-# Most entries bruteforce_distribution gathers at once (whole rows of
-# L+1 terms, at least one): about 1 MB per 80-bit temporary, however
-# many rows that is, so memory does not grow with the row count.
-_GATHER_ELEMENTS = 1 << 16
+# Widest register whose sine tables are kept between calls: at n = 20
+# they take 40 MB together, and the complex one alone would be 512 MB
+# at n = 24.
+_TABLE_WIDTH_LIMIT = 20
+
+# Most terms bruteforce_distribution gathers at once (whole rows of L+1
+# terms, at least one): 1 MB of 80-bit complex values, however many rows
+# that is, so memory does not grow with the row count.
+_GATHER_ELEMENTS = 1 << 15
 
 _PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
@@ -163,46 +174,56 @@ def bruteforce_distribution(params: Params) -> np.ndarray:
     """Defining double sum for every frequency at once.
 
     Same term-by-term evaluation as prob_bruteforce, restructured for
-    bulk use.  Entry j depends on j only through alpha = r j mod 2**n.
-    With 2**v the largest power of two dividing r, alpha is 2**v times
-    r' j mod M, where r' = r >> v is odd and M = 2**n >> v, so one
-    period of M frequencies is summed and tiled, and every term
-    e^(2 pi i alpha b / 2**n) is a power of e^(2 pi i / M).  Those M
-    values come from one table, built from sin over a quarter wave by
-    the exact symmetries of sin and cos.  Rows of term indices are
-    gathered from it in blocks of at most _GATHER_ELEMENTS entries (a
-    row is never split).  The two inner-sum lengths L and L+1 that
-    occur across residue classes are read off as the sum of the first L
-    columns and that sum plus the last column.  Every term is still
-    added one at a time, and no closed form, geometric-sum identity or
-    symmetry of the distribution is used, so the output is an
-    independent oracle for prob_array / full_distribution.
+    bulk use.  Entry j depends on j only through alpha = r j mod 2**n,
+    which repeats with period M = 2**n >> v (2**v the largest power of
+    two dividing r), so one period of M frequencies is summed, and tiled
+    when M < 2**n.  Every term e^(2 pi i alpha b / 2**n) is entry
+    (alpha b) mod 2**n of the cached unit circle of width 2**n
+    (_unit_circle); alpha is a multiple of 2**v, and since 2 pi / M is
+    2**v times 2 pi / 2**n exactly, entry k 2**v of that circle is bit
+    for bit entry k of the period-M circle (_unit_circle_tables(M)).
+    Rows of term indices are gathered from it in blocks of at most
+    _GATHER_ELEMENTS terms (a row is never split).  The two inner-sum
+    lengths L and L+1 that occur across residue classes are read off as
+    the sum of the first L columns and that sum plus the last column,
+    the real and imaginary parts each summed as one real row, so the
+    output is bit-identical to summing separate cos and sin tables.
+    Every term is still added one at a time, and no closed form,
+    geometric-sum identity or symmetry of the distribution is used, so
+    the output is an independent oracle for prob_array /
+    full_distribution.
     """
     _require_vector_width(params)
     N = params.two_n
     r = params.r
     d = derive(params)
-    v = _two_adic_valuation(r)
-    period = N >> v
-    cos_table, sin_table = _unit_circle_tables(period)
-    alpha = ((r >> v) * np.arange(period, dtype=np.int64)) % period
+    period = N >> _two_adic_valuation(r)
+    circle = _unit_circle(N)
     b = np.arange(d.L + 1, dtype=np.int64)
-    rows = max(1, _GATHER_ELEMENTS // (d.L + 1))
+    rows = min(period, max(1, _GATHER_ELEMENTS // (d.L + 1)))
+    # theta[i, b] = r (lo + i) b mod 2**n for the block of rows from lo;
+    # moving to the next block adds r rows b mod 2**n to column b
+    theta = ((r * np.arange(rows, dtype=np.int64)) & (N - 1))[:, None] * b
+    theta &= N - 1
+    step = np.empty_like(theta)
+    step[:] = (((r * rows) & (N - 1)) * b) & (N - 1)
     out = np.empty(period, dtype=np.longdouble)
     NN = np.longdouble(N) * np.longdouble(N)
     for lo in range(0, period, rows):
-        theta = (alpha[lo : lo + rows, None] * b[None, :]) & (period - 1)
-        cre = np.take(cos_table, theta)
-        cim = np.take(sin_table, theta)
+        if lo:
+            theta += step
+            theta &= N - 1
+        terms = np.take(circle, theta[: period - lo])
+        cre, cim = terms.real, terms.imag
         c_lo = cre[:, :-1].sum(axis=1)
         s_lo = cim[:, :-1].sum(axis=1)
         c_hi = c_lo + cre[:, -1]
         s_hi = s_lo + cim[:, -1]
-        out[lo : lo + len(theta)] = (
+        out[lo : lo + len(terms)] = (
             d.beta * (c_hi * c_hi + s_hi * s_hi)
             + (r - d.beta) * (c_lo * c_lo + s_lo * s_lo)
         ) / NN
-    return np.tile(out, N // period)
+    return out if period == N else np.tile(out, N // period)
 
 
 def _two_adic_valuation(r: int) -> int:
@@ -210,29 +231,92 @@ def _two_adic_valuation(r: int) -> int:
     return (r & -r).bit_length() - 1
 
 
+# The tables kept between calls: {N: {builder: table}} for one width N.
+_kept_tables: dict[int, dict] = {}
+
+
+def _per_width(build):
+    """Cache build(N), a table that depends on the register width only.
+
+    The cached function returns build(N) made read-only.  Only the
+    tables of the latest width are kept: a call at another width drops
+    every kept table first.  Widths above 2**_TABLE_WIDTH_LIMIT are
+    built on each call and not kept.
+    """
+
+    @functools.wraps(build)
+    def cached(N: int) -> np.ndarray:
+        tables = _kept_tables.get(N)
+        if tables is None:
+            tables = {}
+            _kept_tables.clear()
+            if N <= 1 << _TABLE_WIDTH_LIMIT:
+                _kept_tables[N] = tables
+        table = tables.get(build)
+        if table is None:
+            table = build(N)
+            table.flags.writeable = False
+            tables[build] = table
+        return table
+
+    return cached
+
+
+def _quarter_sines(N: int) -> np.ndarray:
+    """sin(2 pi k / N) for k in [0, N/4], one long-double sin each."""
+    angle = (2 * _PI_LD / np.longdouble(N)) * np.arange(N // 4 + 1).astype(np.longdouble)
+    return np.sin(angle)
+
+
+@_per_width
+def _unit_circle(N: int) -> np.ndarray:
+    """e^(2 pi i k / N) for k in [0, N), N = 2**n >= 4, as clongdouble.
+
+    The imaginary parts come from _quarter_sines: sin(pi - x) = sin(x)
+    mirrors them onto [N/4, N/2], and sin(x + pi) = -sin(x) gives the
+    second half-turn.  The real parts are cos(x) = sin(x + pi/2), the
+    imaginary parts read N/4 further on.  Each entry is therefore the
+    same long-double sin as in _unit_circle_tables(N), and the zeros at
+    multiples of pi/2 are exact.
+    """
+    q = N // 4
+    circle = np.empty(N, dtype=np.clongdouble)
+    s = circle.imag
+    s[: q + 1] = _quarter_sines(N)
+    s[q + 1 : 2 * q] = s[q - 1 : 0 : -1]
+    np.negative(s[: 2 * q], out=s[2 * q :])
+    c = circle.real
+    c[: N - q] = s[q:]
+    c[N - q :] = s[:q]
+    return circle
+
+
 def _unit_circle_tables(N: int) -> tuple[np.ndarray, np.ndarray]:
     """cos(2 pi k / N) and sin(2 pi k / N) for k in [0, N), N = 2**n >= 4.
 
-    sin is evaluated for k in [0, N/4] only.  sin(pi - x) = sin(x)
-    mirrors it onto [N/4, N/2], sin(x + pi) = -sin(x) gives the second
-    half-turn, and cos(x) = sin(x + pi/2) is the sin table rotated by
-    N/4.  Each entry is therefore one long-double sin of an angle at
-    most pi/2, and the zeros at multiples of pi/2 are exact.
+    Two real tables built apart from _unit_circle, as the reference the
+    tests pin it against: _unit_circle(2**n) at k 2**v must equal these
+    tables at N = 2**n >> v bit for bit.  sin is _quarter_sines(N) on
+    [0, N/4], mirrored by sin(pi - x) = sin(x) and negated by
+    sin(x + pi) = -sin(x); cos(x) = sin(x + pi/2) is the sin table
+    rotated by N/4.
     """
-    q = N // 4
-    angle = (2 * _PI_LD / np.longdouble(N)) * np.arange(q + 1).astype(np.longdouble)
-    quarter = np.sin(angle)
+    quarter = _quarter_sines(N)
     half = np.concatenate((quarter, quarter[-2:0:-1]))
     sin_table = np.concatenate((half, -half))
-    return np.roll(sin_table, -q), sin_table
+    return np.roll(sin_table, -(N // 4)), sin_table
 
 
-def _sin2_pi_ratio_ld(k: np.ndarray, denom: int) -> np.ndarray:
-    """Vectorized sin^2(pi k / denom) for integer k already in [0, denom)."""
-    kf = np.minimum(k, denom - k)
-    x = kf.astype(np.longdouble) / np.longdouble(denom)
-    s = np.sin(_PI_LD * x)
-    return s * s
+@_per_width
+def _sin2_table(N: int) -> np.ndarray:
+    """sin^2(pi k / N) for k in [0, N/2], each entry one long-double sin
+    of pi (k / N), squared: the expression a per-entry evaluation uses."""
+    x = np.arange(N // 2 + 1).astype(np.longdouble)
+    x /= np.longdouble(N)
+    x *= _PI_LD
+    np.sin(x, out=x)
+    x *= x
+    return x
 
 
 def prob_array(alphas: np.ndarray, params: Params) -> np.ndarray:
@@ -241,38 +325,40 @@ def prob_array(alphas: np.ndarray, params: Params) -> np.ndarray:
     80-bit float fast path for bulk scans on small registers; agrees
     with `prob` to ~1e-17 relative (checked by tests).  The three sines
     of each entry are gathered through the exact fold min(k, 2**n - k)
-    from one table of sin^2(pi k / 2**n) over k in [0, 2**(n-1)],
-    restricted to the multiples of the largest power of two dividing
-    2**n and every argument (no other index occurs).  Each table entry
-    is the expression a per-entry evaluation would compute, so the
-    result is bit-identical to three sin calls per entry.  The table
-    costs up to 2**(n-1) sin calls whatever the number of arguments, so
-    this path is meant for arrays of comparable length.
+    from the cached table of sin^2(pi k / 2**n) over k in [0, 2**(n-1)]
+    (_sin2_table), built once per register width.  Each table entry is
+    the expression a per-entry evaluation would compute, and the
+    arithmetic runs in place in the same order as a per-entry formula,
+    so the result is bit-identical to three sin calls per entry.
     """
     _require_vector_width(params)
     N = params.two_n
     r = params.r
     d = derive(params)
-    a = np.asarray(alphas, dtype=np.int64) % N
-    nz = a != 0
-    # Every sine index is a multiple of `step`, the largest power of two
-    # dividing N and all arguments, so the table holds those multiples only.
-    step = 1 << _two_adic_valuation(int(np.bitwise_or.reduce(a, axis=None)) | N)
-    table = _sin2_pi_ratio_ld(np.arange(0, N // 2 + 1, step, dtype=np.int64), N)
+    a = np.asarray(alphas, dtype=np.int64) & (N - 1)
+    table = _sin2_table(N)
 
-    def sin2(k):
-        return table[np.minimum(k, N - k) // step]
+    def sin2(mult):
+        k = a * mult
+        k &= N - 1
+        np.minimum(k, N - k, out=k)
+        return np.take(table, k)
 
-    s_hi = sin2((a * (d.L + 1)) % N)
-    s_lo = sin2((a * d.L) % N)
-    s_den = sin2(a)
-    out = np.empty(a.shape, dtype=np.longdouble)
-    NN = np.longdouble(N) * np.longdouble(N)
+    out = sin2(d.L + 1)
+    out *= d.beta
+    s_lo = sin2(d.L)
+    s_lo *= r - d.beta
+    out += s_lo
+    del s_lo
+    s_den = sin2(1)
+    s_den *= np.longdouble(N) * np.longdouble(N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[nz] = (d.beta * s_hi[nz] + (r - d.beta) * s_lo[nz]) / (s_den[nz] * NN)
-    if np.any(~nz):
+        np.divide(out, s_den, out=out)
+    del s_den
+    zero = a == 0
+    if np.any(zero):
         p0 = prob_zero(params)
-        out[~nz] = np.longdouble(p0.numerator) / np.longdouble(p0.denominator)
+        out[zero] = np.longdouble(p0.numerator) / np.longdouble(p0.denominator)
     return out
 
 
@@ -281,14 +367,14 @@ def full_distribution(params: Params) -> np.ndarray:
 
     Entry j equals prob({r j} mod 2**n).  The argument r j mod 2**n has
     period 2**n >> v in j (2**v the largest power of two dividing r), so
-    prob_array evaluates one period and the result is that period tiled.
-    Small registers only.
+    prob_array evaluates one period, and the result is that period,
+    tiled when it is shorter than 2**n.  Small registers only.
     """
     _require_vector_width(params)
     N = params.two_n
     period = N >> _two_adic_valuation(params.r)
-    j = np.arange(period, dtype=np.int64)
-    return np.tile(prob_array((params.r * j) % N, params), N // period)
+    dist = prob_array(params.r * np.arange(period, dtype=np.int64), params)
+    return dist if period == N else np.tile(dist, N // period)
 
 
 def window_mass(z: int, params: Params, B: int) -> mpmath.mpf:

@@ -24,7 +24,13 @@ from orderlab.distribution import (
     prob_zero,
     window_mass,
 )
-from orderlab.distribution import _MASS_REL_ERR, _float_mass, _unit_circle_tables
+from orderlab.distribution import (
+    _MASS_REL_ERR,
+    _float_mass,
+    _sin2_table,
+    _unit_circle,
+    _unit_circle_tables,
+)
 from orderlab.model import Params, Rng, derive, frequency_argument, peak
 from orderlab.pipeline import RunConfig
 
@@ -135,10 +141,32 @@ def closed_form_three_sines(p):
     return out
 
 
-# r with 2-adic valuation from 0 up to m - 1, at n = 3 and n = 13
+def bruteforce_from_period_tables(p):
+    """The double sum with terms read from the separate cos and sin
+    tables of one period, M = 2**n >> v, 1024 rows at a time."""
+    N = p.two_n
+    d = derive(p)
+    v = (p.r & -p.r).bit_length() - 1
+    M = N >> v
+    cos_table, sin_table = _unit_circle_tables(M)
+    alpha = ((p.r >> v) * np.arange(M, dtype=np.int64)) % M
+    out = np.empty(M, dtype=np.longdouble)
+    for lo in range(0, M, 1024):
+        theta = (alpha[lo : lo + 1024, None] * np.arange(d.L + 1)) % M
+        cre, cim = cos_table[theta], sin_table[theta]
+        c_lo, s_lo = cre[:, :-1].sum(axis=1), cim[:, :-1].sum(axis=1)
+        c_hi, s_hi = c_lo + cre[:, -1], s_lo + cim[:, -1]
+        out[lo : lo + 1024] = (
+            d.beta * (c_hi * c_hi + s_hi * s_hi) + (p.r - d.beta) * (c_lo * c_lo + s_lo * s_lo)
+        ) / (np.longdouble(N) * np.longdouble(N))
+    return np.tile(out, N // M)
+
+
+# r with 2-adic valuation from 0 up to m - 1, at n = 3 and n = 13, and
+# an odd 11-bit r at n = 16, the width the dist_exact benchmark runs at
 TABLE_GEOMETRIES = [(2, 2, 1), (3, 2, 1)] + [
     (r, 8, 5) for r in (3, 4, 6, 8, 12, 48, 64, 96, 128)
-]
+] + [(1531, 11, 5)]
 
 
 class TestTablesAndPeriod:
@@ -146,6 +174,11 @@ class TestTablesAndPeriod:
     def test_full_distribution_bit_identical_to_three_sines(self, r, m, ell):
         p = Params(r=r, m=m, ell=ell)
         assert np.array_equal(full_distribution(p), closed_form_three_sines(p))
+
+    @pytest.mark.parametrize("r,m,ell", TABLE_GEOMETRIES)
+    def test_bruteforce_bit_identical_to_period_tables(self, r, m, ell):
+        p = Params(r=r, m=m, ell=ell)
+        assert np.array_equal(bruteforce_distribution(p), bruteforce_from_period_tables(p))
 
     @pytest.mark.parametrize("r", [2, 4, 8, 16, 24, 48, 64, 96])
     def test_bruteforce_high_valuation_matches_per_frequency(self, r):
@@ -162,6 +195,32 @@ class TestTablesAndPeriod:
         assert np.max(np.abs(cos_table - np.cos(angle))) <= 1e-18
         assert np.max(np.abs(sin_table - np.sin(angle))) <= 1e-18
 
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_circle_at_multiples_is_the_period_table(self, n):
+        # 2 pi / (2**n >> v) is 2**v times 2 pi / 2**n exactly, so entry
+        # k 2**v of the 2**n circle is entry k of the period table
+        N = 1 << n
+        circle = _unit_circle(N)
+        for v in range(n - 1):
+            cos_table, sin_table = _unit_circle_tables(N >> v)
+            assert np.array_equal(circle.real[:: 1 << v], cos_table)
+            assert np.array_equal(circle.imag[:: 1 << v], sin_table)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_sin2_table_at_multiples_is_the_step_table(self, n):
+        N = 1 << n
+        table = _sin2_table(N)
+        for v in range(n - 1):
+            k = np.arange(0, N // 2 + 1, 1 << v, dtype=np.int64)
+            s = np.sin(PI_LD * (k.astype(np.longdouble) / np.longdouble(N)))
+            assert np.array_equal(table[:: 1 << v], s * s)
+
+    def test_bruteforce_at_benchmark_width_matches_per_frequency(self):
+        p = Params(r=1531, m=11, ell=5)
+        dist = bruteforce_distribution(p)
+        for j in random.Random(16).sample(range(p.two_n), 30):
+            assert rel_close(dist[j], prob_bruteforce(j, p), 1e-15, 2.0 ** (-2 * p.n))
+
     @pytest.mark.parametrize("r,m,ell", TABLE_GEOMETRIES)
     def test_distributions_repeat_with_period(self, r, m, ell):
         p = Params(r=r, m=m, ell=ell)
@@ -170,6 +229,34 @@ class TestTablesAndPeriod:
         for dist in (full_distribution(p), bruteforce_distribution(p)):
             assert dist.shape == (p.two_n,)
             assert np.array_equal(dist[period:], dist[:-period])
+
+
+class TestTableCache:
+    def test_tables_are_read_only_and_reused(self):
+        N = 1 << 10
+        for build in (_sin2_table, _unit_circle):
+            table = build(N)
+            assert build(N) is table
+            with pytest.raises(ValueError):
+                table[1] = 0
+
+    def test_only_the_latest_width_is_kept(self):
+        for r, m, ell in ((255, 8, 4), (2047, 11, 5)):
+            p = Params(r=r, m=m, ell=ell)
+            full_distribution(p)
+            bruteforce_distribution(p)
+        kept = distribution._kept_tables
+        assert list(kept) == [1 << 16]
+        assert len(kept[1 << 16]) == 2
+
+    def test_wide_tables_are_built_but_not_kept(self):
+        N = 2 << distribution._TABLE_WIDTH_LIMIT
+        table = _sin2_table(N)  # 16 MB of long doubles
+        assert table.shape == (N // 2 + 1,) and not table.flags.writeable
+        k = np.array([1, N // 6, N // 2])
+        s = np.sin(PI_LD * (k.astype(np.longdouble) / np.longdouble(N)))
+        assert np.array_equal(table[k], s * s)
+        assert not distribution._kept_tables
 
 
 class TestApproximations:
