@@ -44,6 +44,19 @@ meets the circle in one interval of m1, clipped by the half plane and
 the coordinate box.  Candidates need no deduplication: two box vectors
 with the same w_2 would differ by a nonzero multiple of (2**n, 0),
 longer than the box is wide (2**m, and n >= m + 1).
+
+Rows m2 and -m2 are mirror images under w -> -w, which maps
+(m1, m2) to (-m1, -m2).  The discriminant depends on m2**2 only, so
+row -m2's interval inside the circle is the negation of row m2's; the
+box |w_1| < 2**(m-1) is symmetric; and row -m2's half plane w_2 >= 0
+and box 0 < w_2 < 2**(m-1) are row m2's w_2 <= 0 and
+-2**(m-1) < w_2 < 0.  So each pair of rows takes one square root and
+one set of clips: row -m2's candidates are -w_2 over row m2's
+w_2 <= -1 part, read with m1 descending.  A lattice vector with
+w_2 = 0 is a multiple of (2**n, 0), and only 0 is inside the circle,
+so for m2 != 0 the two rows visit row m2's interval exactly once
+between them.  Likewise (s1)_2 != 0, since the reduced s1 is shorter
+than (2**n, 0): every row's candidates step by (s1)_2.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import bounds
 from .model import Params, window_runs
 
 
@@ -228,10 +242,12 @@ class EnumerationResult:
 def _clip(lo: int, hi: int, a: int, b: int, low: int, high: int) -> tuple[int, int]:
     """The part of [lo, hi] where low <= a * m1 + b <= high (maybe empty)."""
     if a > 0:
-        return max(lo, -((b - low) // a)), min(hi, (high - b) // a)
-    if a < 0:
-        return max(lo, -((high - b) // -a)), min(hi, (b - low) // -a)
-    return (lo, hi) if low <= b <= high else (lo, lo - 1)
+        l, h = -((b - low) // a), (high - b) // a
+    elif a < 0:
+        l, h = -((high - b) // -a), (b - low) // -a
+    else:
+        return (lo, hi) if low <= b <= high else (lo, lo - 1)
+    return (l if l > lo else lo), (h if h < hi else hi)
 
 
 def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> EnumerationResult:
@@ -256,12 +272,13 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     row form an arithmetic progression with step (s1)_2.  They never
     repeat: two box vectors with equal w_2 differ by a multiple of
     (2**n, 0), yet their first coordinates differ by less than
-    2**m <= 2**(n-1).
+    2**m <= 2**(n-1).  Rows m2 and -m2 are solved together, as the
+    mirror argument of the module docstring allows, and the budget is
+    checked once, on the total: the count only grows, so a row-by-row
+    check raises exactly when the total exceeds the budget.
     """
-    from .bounds import enumeration_budget
-
     m = params.m
-    budget = enumeration_budget(max(0, m - params.ell))
+    budget = bounds.enumeration_budget(max(0, m - params.ell))
     (x1, y1), (x2, y2) = rb.s1, rb.s2
     A = norm4(rb.s1)
 
@@ -275,39 +292,45 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
         )
 
     Bc = dot4(rb.s1, rb.s2)
-    R4 = 1 << (2 * m + 1)  # norm4(w) < R4  <=>  |w| < 2**(m - 1/2)
-    x_cap = 1 << m         # |w_1| < 2**(m-1)  <=>  2|w.x| < 2**m
+    AR4 = A << (2 * m + 1)  # A R4, where norm4(w) < R4  <=>  |w| < 2**(m - 1/2)
+    x_cap = 1 << m          # |w_1| < 2**(m-1)  <=>  2|w.x| < 2**m
     det_shift = 2 * params.n + 2  # A norm4(s2) - Bc**2 = 2**(2n+2)
-    # outer range: m2^2 * 2**(2n) < 2**(2m-1) * A  (lambda2_perp bound)
+    # outer range: m2^2 * 2**(2n) < 2**(2m-1) * A  (lambda2_perp bound), so
+    # every row up to m2_max has disc = A R4 - 2**(2n+2) m2**2 > 0
     m2_max = math.isqrt(((A << (2 * m - 1)) - 1) >> (2 * params.n))
     candidates: list[int] = []
+    rows: list[tuple[int, int, int]] = []  # rows m2 = m2_max..1 as (lo, hi, yc)
     visited = 0
-    for m2 in range(-m2_max, m2_max + 1):
-        disc = A * R4 - ((m2 * m2) << det_shift)
-        if disc <= 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s == disc:
-            s -= 1
+    for m2 in range(m2_max, 0, -1):
+        s = math.isqrt(AR4 - ((m2 * m2) << det_shift) - 1)  # s**2 < disc
         c = -Bc * m2
-        yc = m2 * y2  # w_2 = y1 m1 + yc, doubled
-        # inside the circle w_2**2 < R4, so w_2 <= R4 bounds nothing
-        lo, hi = _clip(-((s - c) // A), (c + s) // A, y1, yc, 0, R4)
+        lo, hi = -((s - c) // A), (c + s) // A
         if lo > hi:
             continue
+        # rows m2 and -m2 split [lo, hi]: neither has a vector with w_2 = 0,
+        # and inside the circle w_2**2 < R4, so nothing bounds w_2 above
         visited += hi - lo + 1
-        if visited > budget:
-            raise EnumerationBudgetExceeded(
-                f"enumeration for j={j} exceeded {budget} vectors"
-            )
-        lo, hi = _clip(lo, hi, y1, yc, 1, x_cap - 1)
         lo, hi = _clip(lo, hi, 2 * x1, 2 * m2 * x2, 1 - x_cap, x_cap - 1)
         if lo > hi:
             continue
-        if y1:
-            candidates.extend(range(y1 * lo + yc, y1 * (hi + 1) + yc, y1))
-        else:
-            candidates.append(yc)  # a constant row meets the box at most once
+        yc = m2 * y2  # w_2 = y1 m1 + yc, doubled
+        # row -m2: -w_2 over w_2 in [1 - x_cap, -1], m1 descending; a clip
+        # left empty (lo > hi) gives an empty range
+        nlo, nhi = _clip(lo, hi, y1, yc, 1 - x_cap, -1)
+        candidates.extend(range(-(y1 * nhi + yc), -(y1 * (nlo - 1) + yc), y1))
+        rows.append((*_clip(lo, hi, y1, yc, 1, x_cap - 1), yc))
+    # row 0 is its own mirror image: m1 s1 for |m1| <= k, w_2 >= 0 on one side
+    k = math.isqrt(AR4 - 1) // A
+    visited += k + 1
+    if visited > budget:
+        raise EnumerationBudgetExceeded(
+            f"enumeration for j={j} exceeded {budget} vectors"
+        )
+    lo, hi = _clip(-k, k, y1, 0, 1, x_cap - 1)
+    lo, hi = _clip(lo, hi, 2 * x1, 0, 1 - x_cap, x_cap - 1)
+    candidates.extend(range(y1 * lo, y1 * (hi + 1), y1))
+    for lo, hi, yc in reversed(rows):
+        candidates.extend(range(y1 * lo + yc, y1 * (hi + 1) + yc, y1))
     return EnumerationResult(
         candidates=candidates, visited=visited, case=2, budget=budget
     )

@@ -42,8 +42,12 @@ class SmoothnessContext:
     whose prime powers all stay within the smoothness bound.  split_tree
     halves the primes recursively for tree recovery: a leaf is (q,), an
     inner node (d_left, left, d_right, right), where each half's d is
-    the product of the other half's full prime powers.  Contexts are
-    shared between runs, so exponents is a read-only mapping.
+    the product of the other half's full prime powers.  split_bits is
+    the exponent length of the tree's 2 (|primes| - 1) split powers,
+    the sum of (d_left - 1).bit_length() + (d_right - 1).bit_length()
+    over its inner nodes, which tree recovery charges once per call.
+    Contexts are shared between runs, so exponents is a read-only
+    mapping.
     """
 
     c: float
@@ -53,6 +57,7 @@ class SmoothnessContext:
     exponents: Mapping[int, int]
     smooth_exponent: int
     split_tree: tuple
+    split_bits: int
 
     @classmethod
     def build(cls, c: float, m: int) -> "SmoothnessContext":
@@ -71,6 +76,7 @@ class SmoothnessContext:
                 e += 1
             exponents[q] = e
             smooth *= q ** e
+        tree = _split_tree(primes, exponents)
         return cls(
             c=c,
             m=m,
@@ -78,7 +84,8 @@ class SmoothnessContext:
             primes=primes,
             exponents=types.MappingProxyType(exponents),
             smooth_exponent=smooth,
-            split_tree=_split_tree(primes, exponents),
+            split_tree=tree,
+            split_bits=_split_bits(tree),
         )
 
     @property
@@ -97,6 +104,17 @@ def _split_tree(qs: tuple[int, ...], exponents: Mapping[int, int]) -> tuple:
     return (
         math.prod(q ** exponents[q] for q in right), _split_tree(left, exponents),
         math.prod(q ** exponents[q] for q in left), _split_tree(right, exponents),
+    )
+
+
+def _split_bits(node: tuple) -> int:
+    """The exponent lengths of every split power below node."""
+    if len(node) == 1:
+        return 0
+    d_left, left, d_right, right = node
+    return (
+        (d_left - 1).bit_length() + _split_bits(left)
+        + (d_right - 1).bit_length() + _split_bits(right)
     )
 
 
@@ -244,27 +262,32 @@ def recover_order_tree(
     leaf exponents are then read off one multiplication at a time, left
     to right; a leaf that fails to reach the identity within its cap
     means the cofactor was not smooth.
+
+    A subtree whose element is already the identity is not entered:
+    every leaf below it is the identity and needs no stripping.  The
+    meter is still charged every split power of the tree, once per call
+    (ctx.split_bits over 2 (|primes| - 1) powers), so the metered
+    totals are those of the full split that the budget analyses.
     """
     if not 1 <= r_tilde < (1 << ctx.m):
         return None
     pow_, is_identity = group.pow, group.is_identity
-    bits, ops = (r_tilde - 1).bit_length(), 1
+    bits = (r_tilde - 1).bit_length() + ctx.split_bits
+    ops = 2 * len(ctx.primes) - 1
     leaves: list[tuple[int, object]] = []
     nodes = [(pow_(g, r_tilde), ctx.split_tree)]
     while nodes:  # depth first, left child popped first
         x, node = nodes.pop()
+        if is_identity(x):
+            continue
         if len(node) == 1:
             leaves.append((node[0], x))
             continue
         d_left, left, d_right, right = node
         nodes.append((pow_(x, d_right), right))
         nodes.append((pow_(x, d_left), left))
-        bits += (d_left - 1).bit_length() + (d_right - 1).bit_length()
-        ops += 2
     d = 1
     for q, leaf in leaves:
-        if is_identity(leaf):
-            continue
         cap, step = ctx.exponents[q], (q - 1).bit_length()
         for _ in range(cap):
             leaf = pow_(leaf, q)
@@ -292,13 +315,16 @@ def filter_candidates(
 
     A candidate passes exactly when the order divides r~ times a smooth
     cofactor, so every surviving candidate is worth running recovery on.
-    mu accumulates a shrinking multiple of the order (0 until the first
-    acceptance), and later candidates are tested through the
-    usually-much-smaller exponent gcd(r~, mu).  Because mu stays a
-    multiple of the order, that accepts and rejects the same candidates
-    as testing r~ itself.  Repeated candidates and repeated dismissed
-    reductions are skipped.  Returns the survivors, deduplicated in
-    first-seen order, and the final mu.
+    The loop runs in two phases.  Until the first acceptance each
+    candidate r~ is tested as it is.  The first accepted r~ sets
+    mu = r~ * smooth_exponent, a multiple of the order, and from then on
+    mu accumulates a shrinking multiple of the order and each candidate
+    is tested through the usually-much-smaller exponent gcd(r~, mu).
+    Because mu stays a multiple of the order, that accepts and rejects
+    the same candidates as testing r~ itself.  Repeated candidates and
+    repeated dismissed reductions are skipped.  Returns the survivors,
+    deduplicated in first-seen order, and the final mu (0 when none
+    survives).
     """
     pow_, is_identity = group.pow, group.is_identity
     smooth = ctx.smooth_exponent
@@ -309,10 +335,22 @@ def filter_candidates(
     accepted: set[int] = set()
     dismissed: set[int] = set()
     survivors: list[int] = []
-    for cand in candidates:
+    rest = iter(candidates)
+    for cand in rest:  # mu = 0 and nothing accepted yet
+        if not 1 <= cand < top or cand in dismissed:
+            continue
+        bits += (cand - 1).bit_length()
+        ops += 1
+        if is_identity(pow_(x, cand)):
+            accepted.add(cand)
+            mu = cand * smooth
+            survivors.append(cand)
+            break
+        dismissed.add(cand)
+    for cand in rest:
         if not 1 <= cand < top or cand in accepted:
             continue
-        reduced = math.gcd(cand, mu) if mu else cand
+        reduced = math.gcd(cand, mu)
         if reduced in dismissed:
             continue
         bits += (reduced - 1).bit_length()

@@ -268,6 +268,42 @@ class TestAgainstReference:
             for offset in range(-10, 11):  # 210 frequencies in all
                 self.assert_same((j0 + offset) % p.two_n, p, enumeration_budget(8))
 
+    def test_every_offset_of_benchmark_windows(self):
+        # m = 128, ell = 120, B = 10: every offset of 12 windows, each
+        # enumerated from its reduce_window basis as the pipeline does.
+        # Rows m2 and -m2 are solved as mirror images, so both signs of
+        # (s1)_2 must occur among the enumerated bases.
+        rng = random.Random(128120)
+        signs = set()
+        for i in range(12):
+            r = rng.getrandbits(128) | (1 << 127) | 1
+            p = Params(r=r, m=128, ell=120, B=10)
+            j = peak(rng.randrange(r), p).j0 % p.two_n if i % 3 else rng.randrange(p.two_n)
+            offsets = [(j + k) % p.two_n for k in range(-10, 11)]
+            for o, rb in zip(offsets, reduce_window(j, 10, p)):
+                got = enumerate_candidates(o, p, rb)
+                assert got == reference_enumerate_candidates(o, p), (r, o)
+                if got.case == 2:
+                    signs.add(rb.s1.y2 > 0)
+        assert signs == {True, False}
+
+    def test_budget_at_the_benchmark_geometry(self):
+        # the budget is checked once, on the total, and still raises
+        # exactly when a row-by-row count would
+        rng = random.Random(8)
+        r = rng.getrandbits(128) | (1 << 127) | 1
+        p = Params(r=r, m=128, ell=120)
+        j0 = peak(rng.randrange(r), p).j0
+        tested = 0
+        for offset in range(-10, 11):
+            j = (j0 + offset) % p.two_n
+            res = enumerate_candidates(j, p, lagrange_reduce(j, p))
+            if res.case == 2:
+                assert isinstance(self.assert_same(j, p, res.visited), EnumerationResult)
+                assert self.assert_same(j, p, res.visited - 1)[0] == "budget"
+                tested += 1
+        assert tested
+
 
 def window_reference(j: int, B: int, params: Params) -> list[ReducedBasis]:
     """lagrange_reduce of each offset of the window, one at a time."""

@@ -498,23 +498,93 @@ class TestMeterOracle:
                 outcomes.add(got is None)
         assert outcomes == {True, False}
 
+    @staticmethod
+    def assert_context_like_reference(ctx, cofactors, rng, elements=(1,)):
+        """For each cofactor d, a group of order r~ d and the candidates r~,
+        a random m-bit value and r~ d: filter, tree and stack match the
+        references from each of the given elements."""
+        for cofactor in cofactors:
+            r_tilde = rng.getrandbits(100) | 1
+            group = SimulatedGroup(r_tilde * cofactor)
+            cands = [r_tilde, rng.getrandbits(ctx.m), r_tilde * cofactor, r_tilde]
+            for g in elements:
+                assert_meters_like_reference(
+                    filter_candidates, reference_filter_candidates, group, g, cands, ctx
+                )
+                for cand in cands:
+                    assert_meters_like_reference(
+                        recover_order_tree, reference_recover_order_tree, group, g, cand, ctx
+                    )
+                    assert_meters_like_reference(
+                        recover_order_stack, reference_recover_order_stack, group, g, cand, ctx
+                    )
+
     def test_at_the_monte_carlo_context(self):
         # m = 128, c = 25 (cm = 3200): the split tree of 450 primes and
         # candidates r / d for smooth d, for the prime 3203 > cm, and for
         # 2**13 beyond the cap 2**11
-        rng = random.Random(14)
-        ctx = SmoothnessContext.build(25.0, 128)
-        for cofactor in (1, 3, 5 * 7, 2 ** 11 * 3001, 3203, 2 ** 13):
-            r_tilde = rng.getrandbits(100) | 1
-            group = SimulatedGroup(r_tilde * cofactor)
-            cands = [r_tilde, rng.getrandbits(128), r_tilde * cofactor, r_tilde]
-            assert_meters_like_reference(
-                filter_candidates, reference_filter_candidates, group, 1, cands, ctx
-            )
-            for cand in cands:
-                assert_meters_like_reference(
-                    recover_order_tree, reference_recover_order_tree, group, 1, cand, ctx
-                )
-                assert_meters_like_reference(
-                    recover_order_stack, reference_recover_order_stack, group, 1, cand, ctx
-                )
+        self.assert_context_like_reference(
+            SmoothnessContext.build(25.0, 128),
+            (1, 3, 5 * 7, 2 ** 11 * 3001, 3203, 2 ** 13),
+            random.Random(14),
+        )
+
+    def test_at_the_enumerate_context(self):
+        # m = 128, c = 10 (cm = 1280): candidates r / d for the smooth
+        # d = 1, 3 * 5 and 2**10 * 1021 (2**10 is the cap of 2), for the
+        # unsmooth 2**11 and 1283 > cm, and from g = 0, the identity,
+        # where the tree's root is the identity whatever the candidate
+        self.assert_context_like_reference(
+            SmoothnessContext.build(10.0, 128),
+            (1, 3 * 5, 2 ** 10 * 1021, 2 ** 11, 1283),
+            random.Random(18),
+            elements=(1, 0),
+        )
+
+
+class CountingGroup(SimulatedGroup):
+    """A SimulatedGroup that counts the powers applied to it."""
+
+    def __init__(self, r: int):
+        super().__init__(r)
+        self.powers = 0
+
+    def pow(self, a: int, k: int) -> int:
+        self.powers += 1
+        return super().pow(a, k)
+
+
+class TestTreePruning:
+    """recover_order_tree enters no subtree whose element is the identity,
+    while its meter still charges the whole split."""
+
+    ctx = SmoothnessContext.build(10.0, 128)
+
+    def test_split_charge_is_the_full_tree(self):
+        def inner(node):
+            if len(node) == 1:
+                return 0, 0
+            d_left, left, d_right, right = node
+            (lb, lp), (rb, rp) = inner(left), inner(right)
+            return exponent_length(d_left) + exponent_length(d_right) + lb + rb, 2 + lp + rp
+
+        for c, m in ((1, 2), (1, 4), (2, 5), (10, 128), (25, 128)):
+            ctx = SmoothnessContext.build(c, m)
+            assert (ctx.split_bits, 2 * (len(ctx.primes) - 1)) == inner(ctx.split_tree)
+
+    def test_exact_candidate_makes_one_power(self):
+        r = random.Random(1).getrandbits(127) | (1 << 127) | 1
+        group = CountingGroup(r)
+        meter = ExponentMeter()
+        assert recover_order_tree(group, 1, r, self.ctx, meter) == r
+        assert group.powers == 1
+        assert meter.operations == 1 + 2 * (len(self.ctx.primes) - 1)
+
+    def test_two_prime_cofactor_visits_two_paths(self):
+        # d = 3 * 5: at most two elements per level differ from the
+        # identity, two powers each, then one strip for each prime
+        levels = (len(self.ctx.primes) - 1).bit_length()
+        r_tilde = random.Random(2).getrandbits(100) | 1
+        group = CountingGroup(r_tilde * 15)
+        assert recover_order_tree(group, 1, r_tilde, self.ctx) == r_tilde * 15
+        assert group.powers <= 2 * 2 * levels + 1 + 2
