@@ -335,6 +335,27 @@ def _ref_pow(group, x, k: int, meter: ExponentMeter | None):
     return group.pow(x, k)
 
 
+def reference_recover_multiple(group, g, r_tilde, ctx, meter=None, trace=None):
+    """recover_multiple metering every power through _ref_pow."""
+    if not 1 <= r_tilde < (1 << ctx.m):
+        return None
+    r_prime = r_tilde
+    if trace is not None:
+        trace.append(r_prime)
+    x = _ref_pow(group, g, r_tilde, meter)
+    for q in ctx.primes:
+        if group.is_identity(x):
+            return r_prime
+        e = ctx.exponents[q]
+        x = _ref_pow(group, x, q ** e, meter)
+        r_prime *= q ** e
+        if trace is not None:
+            trace.append(r_prime)
+    if not group.is_identity(x):
+        return None
+    return r_prime
+
+
 def reference_recover_order_stack(group, g, r_tilde, ctx, meter=None, trace=None):
     """recover_order_stack metering every power through ExponentMeter.add."""
     if not 1 <= r_tilde < (1 << ctx.m):
@@ -459,14 +480,16 @@ class TestMeterOracle:
         assert_meters_like_reference(
             recover_order_tree, reference_recover_order_tree, group, g, r_tilde, ctx
         )
-        assert_meters_like_reference(
-            recover_order_stack, reference_recover_order_stack, group, g, r_tilde, ctx
-        )
-        trace: list[int] = []
-        want: list[int] = []
-        recover_order_stack(group, g, r_tilde, ctx, trace=trace)
-        reference_recover_order_stack(group, g, r_tilde, ctx, trace=want)
-        assert trace == want
+        for fn, reference in (
+            (recover_order_stack, reference_recover_order_stack),
+            (recover_multiple, reference_recover_multiple),
+        ):
+            assert_meters_like_reference(fn, reference, group, g, r_tilde, ctx)
+            trace: list[int] = []
+            want: list[int] = []
+            fn(group, g, r_tilde, ctx, trace=trace)
+            reference(group, g, r_tilde, ctx, trace=want)
+            assert trace == want
 
     @given(st.sampled_from(["simulated", "modn"]), st.sampled_from([1, 1.5, 2, 5, 10]), st.data())
     @settings(max_examples=300, deadline=None)
@@ -501,8 +524,8 @@ class TestMeterOracle:
     @staticmethod
     def assert_context_like_reference(ctx, cofactors, rng, elements=(1,)):
         """For each cofactor d, a group of order r~ d and the candidates r~,
-        a random m-bit value and r~ d: filter, tree and stack match the
-        references from each of the given elements."""
+        a random m-bit value and r~ d: filter, tree, stack and multiple
+        match the references from each of the given elements."""
         for cofactor in cofactors:
             r_tilde = rng.getrandbits(100) | 1
             group = SimulatedGroup(r_tilde * cofactor)
@@ -517,6 +540,9 @@ class TestMeterOracle:
                     )
                     assert_meters_like_reference(
                         recover_order_stack, reference_recover_order_stack, group, g, cand, ctx
+                    )
+                    assert_meters_like_reference(
+                        recover_multiple, reference_recover_multiple, group, g, cand, ctx
                     )
 
     def test_at_the_monte_carlo_context(self):
