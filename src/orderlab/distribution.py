@@ -30,8 +30,9 @@ quarter wave, and shares neither table nor formula with the closed
 form.
 
 Both tables depend on the register width only, not on r.  Each is built
-once, made read-only, and kept for the latest width alone, and only up
-to n = _TABLE_WIDTH_LIMIT; wider tables are built per call and dropped.
+once, made read-only, and kept for the latest width at which that table
+was read, and only up to n = _TABLE_WIDTH_LIMIT; wider tables are built
+per call and dropped.
 
 Since alpha = r j mod 2**n repeats with period 2**n >> v in j, where
 2**v is the largest power of two dividing r, both bulk functions
@@ -231,32 +232,19 @@ def _two_adic_valuation(r: int) -> int:
     return (r & -r).bit_length() - 1
 
 
-# The tables kept between calls: {N: {builder: table}} for one width N.
-_kept_tables: dict[int, dict] = {}
-
-
 def _per_width(build):
     """Cache build(N), a table that depends on the register width only.
 
-    The cached function returns build(N) made read-only.  Only the
-    tables of the latest width are kept: a call at another width drops
-    every kept table first.  Widths above 2**_TABLE_WIDTH_LIMIT are
-    built on each call and not kept.
+    The cached function returns build(N) made read-only, and keeps the
+    table of the latest width N <= 2**_TABLE_WIDTH_LIMIT it was called
+    at.  Wider tables are built on each call and not kept.
     """
+    kept = functools.lru_cache(maxsize=1)(build)
 
     @functools.wraps(build)
     def cached(N: int) -> np.ndarray:
-        tables = _kept_tables.get(N)
-        if tables is None:
-            tables = {}
-            _kept_tables.clear()
-            if N <= 1 << _TABLE_WIDTH_LIMIT:
-                _kept_tables[N] = tables
-        table = tables.get(build)
-        if table is None:
-            table = build(N)
-            table.flags.writeable = False
-            tables[build] = table
+        table = kept(N) if N <= 1 << _TABLE_WIDTH_LIMIT else build(N)
+        table.flags.writeable = False
         return table
 
     return cached

@@ -4,7 +4,7 @@ Everything downstream works relative to a frequency register of width
 m + ell bits for a generator of (known or unknown) order r.  The model
 layer owns the exact integer conventions: the signed residue, the
 round-half-up rule used to place distribution peaks, and the derived
-quantities beta, L, B_max.
+quantities beta, L and the floor of B_max.
 """
 
 from __future__ import annotations
@@ -83,25 +83,21 @@ class Params:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Quantities derived exactly from (r, m, ell)."""
+    """Quantities derived exactly from (r, m, ell), all integers.
 
-    beta: int        # 2**n mod r
-    L: int           # floor(2**n / r)
-    B_max: Fraction  # (2**n/r - 1)/2, the half-width of a peak cell
+    B_max = (2**n/r - 1)/2 is the half-width of a peak cell; every
+    reader needs only its floor, computed without rationals.
+    """
 
-    @property
-    def B_max_floor(self) -> int:
-        return math.floor(self.B_max)
+    beta: int         # 2**n mod r
+    L: int            # floor(2**n / r)
+    B_max_floor: int  # floor((2**n - r) / 2r)
 
 
 def derive(params: Params) -> DerivedParams:
     N = params.two_n
     r = params.r
-    return DerivedParams(
-        beta=N % r,
-        L=N // r,
-        B_max=Fraction(N - r, 2 * r),
-    )
+    return DerivedParams(beta=N % r, L=N // r, B_max_floor=(N - r) // (2 * r))
 
 
 @dataclass(frozen=True)

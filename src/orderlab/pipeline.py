@@ -39,13 +39,11 @@ FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 
 class Strategy(NamedTuple):
-    """A solver strategy: the order candidates of the window j-B..j+B, in
-    offset order, as one list per offset yielded one at a time so that one
-    list is live at once, or as one list for a solver that takes the
-    window whole; and the elimination mode of the analytic bound covering
-    it."""
+    """A solver strategy: a function from the window j-B..j+B to its order
+    candidates, one flat iterable of ints in offset order; and the
+    elimination mode of the analytic bound covering it."""
 
-    candidates: Callable[[int, Params], Iterable[list[int]]]
+    candidates: Callable[[int, Params], Iterable[int]]
     elimination: str
 
 
@@ -57,17 +55,18 @@ def _window(j: int, params: Params) -> list[int]:
 # Each entry looks its solver up through this module's `cf` and `lattice`
 # names at call time, so a wrapper installed on those names sees every call.
 STRATEGIES = {
-    # the last continued-fraction convergent below 2**(n/2), the whole window in one list
-    "cf": Strategy(lambda j, p: (cf.solve_cf_window(j, p.B, p),), "sqrt"),
+    # the last continued-fraction convergent below 2**(n/2) of each offset
+    "cf": Strategy(lambda j, p: cf.solve_cf_window(j, p.B, p), "sqrt"),
     # the shortest vector of each offset's reduced frequency lattice
-    # (lattice.solve_shortest), the window reduced once, in one list
+    # (lattice.solve_shortest), the window reduced once
     "lattice": Strategy(
-        lambda j, p: ([abs(rb.s1.y2) for rb in lattice.reduce_window(j, p.B, p)],), "sqrt"
+        lambda j, p: [abs(rb.s1.y2) for rb in lattice.reduce_window(j, p.B, p)], "sqrt"
     ),
     # every short lattice vector, with the reduced register ell = m - delta; the
-    # window is reduced once and each offset enumerated from its own basis
+    # window is reduced once and each offset enumerated from its own basis, one
+    # offset's list live at a time
     "enumerate": Strategy(
-        lambda j, p: (
+        lambda j, p: itertools.chain.from_iterable(
             lattice.enumerate_candidates(o, p, rb).candidates
             for o, rb in zip(_window(j, p), lattice.reduce_window(j, p.B, p))
         ),
@@ -149,8 +148,7 @@ def post_process(
     overrun fails the whole window.
     """
     try:
-        lists = STRATEGIES[config.strategy].candidates(j, params)
-        candidates = dict.fromkeys(itertools.chain.from_iterable(lists))
+        candidates = dict.fromkeys(STRATEGIES[config.strategy].candidates(j, params))
     except lattice.EnumerationBudgetExceeded:
         return None, "budget"
     top = 1 << config.m

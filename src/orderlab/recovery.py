@@ -8,9 +8,11 @@ then strip the surplus to land on r exactly.
 
 Every exponentiation is optionally metered by the length of its
 exponent, ceil(log2 k): the number of doublings a square-and-multiply
-ladder performs for exponent k.  Closed-form budgets for each algorithm
-are provided so runs can be checked against the cost analysis they came
-with; the budgets hold for every run, not just asymptotically.
+ladder performs for exponent k.  Each function sums the lengths of its
+powers in a local and charges the total once.  Closed-form budgets for
+each algorithm are provided so runs can be checked against the cost
+analysis they came with; the budgets hold for every run, not just
+asymptotically.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class SmoothnessContext:
 
     c: float
     m: int
-    cm_floor: int
     primes: tuple[int, ...]
     exponents: Mapping[int, int]
     smooth_exponent: int
@@ -66,8 +67,7 @@ class SmoothnessContext:
         cm = Fraction(c) * m
         if cm < 2:
             raise ValueError(f"smoothness bound c*m={float(cm)} below 2")
-        cm_floor = math.floor(cm)
-        primes = tuple(primes_up_to(cm_floor))
+        primes = tuple(primes_up_to(math.floor(cm)))
         exponents = {}
         smooth = 1
         for q in primes:
@@ -80,7 +80,6 @@ class SmoothnessContext:
         return cls(
             c=c,
             m=m,
-            cm_floor=cm_floor,
             primes=primes,
             exponents=types.MappingProxyType(exponents),
             smooth_exponent=smooth,
@@ -130,31 +129,21 @@ def exponent_length(k: int) -> int:
 
 @dataclass
 class ExponentMeter:
-    """Accumulates the exponent lengths of all powers applied to the group."""
+    """The total exponent length, in bits, of the powers applied to the
+    group: the figure the budgets below bound.  Each function here adds
+    its own total once, through _charge."""
 
     total_bits: int = 0
-    operations: int = 0
-
-    def add(self, exponent: int):
-        self.total_bits += exponent_length(exponent)
-        self.operations += 1
 
 
-def _pow(group, x, k: int, meter: ExponentMeter | None):
-    if meter is not None:
-        meter.add(k)
-    return group.pow(x, k)
+def _charge(meter: ExponentMeter | None, bits: int) -> None:
+    """Add a call's exponent-length total to the meter.
 
-
-def _charge(meter: ExponentMeter | None, bits: int, operations: int) -> None:
-    """Add a call's exponent-length total and power count to the meter.
-
-    The recovery loops below keep these totals in locals: every exponent
+    The recovery loops below keep that total in a local: every exponent
     they apply is at least 1, where exponent_length(k) = (k - 1).bit_length().
     """
     if meter is not None:
         meter.total_bits += bits
-        meter.operations += operations
 
 
 def recover_multiple(
@@ -171,25 +160,28 @@ def recover_multiple(
     product is the identity.  The result is a multiple of the order
     whose cofactor is smooth; it is generally not the order itself.
     When trace is given, the successive values of the running product
-    are appended to it, starting with r~.
+    are appended to it, starting with r~.  The exponent lengths of the
+    powers applied are charged to the meter once, at the end.
     """
     if not 1 <= r_tilde < (1 << ctx.m):
         return None
+    pow_, is_identity = group.pow, group.is_identity
     r_prime = r_tilde
     if trace is not None:
         trace.append(r_prime)
-    x = _pow(group, g, r_tilde, meter)
+    x = pow_(g, r_tilde)
+    bits = (r_tilde - 1).bit_length()
     for q in ctx.primes:
-        if group.is_identity(x):
-            return r_prime
-        e = ctx.exponents[q]
-        x = _pow(group, x, q ** e, meter)
-        r_prime *= q ** e
+        if is_identity(x):
+            break
+        qe = q ** ctx.exponents[q]
+        x = pow_(x, qe)
+        bits += (qe - 1).bit_length()
+        r_prime *= qe
         if trace is not None:
             trace.append(r_prime)
-    if not group.is_identity(x):
-        return None
-    return r_prime
+    _charge(meter, bits)
+    return r_prime if is_identity(x) else None
 
 
 def recover_order_stack(
@@ -214,9 +206,9 @@ def recover_order_stack(
         return None
     pow_, is_identity = group.pow, group.is_identity
     x = pow_(g, r_tilde)
-    bits, ops = (r_tilde - 1).bit_length(), 1
+    bits = (r_tilde - 1).bit_length()
     if is_identity(x):
-        _charge(meter, bits, ops)
+        _charge(meter, bits)
         return r_tilde
     stack: list[tuple[object, int, int]] = []
     for q in ctx.primes:
@@ -224,11 +216,10 @@ def recover_order_stack(
         stack.append((x, q, e))
         x = pow_(x, q ** e)
         bits += (q ** e - 1).bit_length()
-        ops += 1
         if is_identity(x):
             break
     else:
-        _charge(meter, bits, ops)
+        _charge(meter, bits)
         return None
     d = 1
     if trace is not None:
@@ -237,17 +228,15 @@ def recover_order_stack(
         x, q, e = stack.pop()
         x = pow_(x, d)
         bits += (d - 1).bit_length()
-        ops += 1
         for _ in range(e):
             if is_identity(x):
                 break
             x = pow_(x, q)
             bits += (q - 1).bit_length()
-            ops += 1
             d *= q
             if trace is not None:
                 trace.append(d)
-    _charge(meter, bits, ops)
+    _charge(meter, bits)
     return d * r_tilde
 
 
@@ -266,14 +255,13 @@ def recover_order_tree(
     A subtree whose element is already the identity is not entered:
     every leaf below it is the identity and needs no stripping.  The
     meter is still charged every split power of the tree, once per call
-    (ctx.split_bits over 2 (|primes| - 1) powers), so the metered
-    totals are those of the full split that the budget analyses.
+    (ctx.split_bits), so the metered totals are those of the full split
+    that the budget analyses.
     """
     if not 1 <= r_tilde < (1 << ctx.m):
         return None
     pow_, is_identity = group.pow, group.is_identity
     bits = (r_tilde - 1).bit_length() + ctx.split_bits
-    ops = 2 * len(ctx.primes) - 1
     leaves: list[tuple[int, object]] = []
     nodes = [(pow_(g, r_tilde), ctx.split_tree)]
     while nodes:  # depth first, left child popped first
@@ -292,14 +280,13 @@ def recover_order_tree(
         for _ in range(cap):
             leaf = pow_(leaf, q)
             bits += step
-            ops += 1
             d *= q
             if is_identity(leaf):
                 break
         else:
-            _charge(meter, bits, ops)
+            _charge(meter, bits)
             return None
-    _charge(meter, bits, ops)
+    _charge(meter, bits)
     return d * r_tilde
 
 
@@ -329,7 +316,7 @@ def filter_candidates(
     pow_, is_identity = group.pow, group.is_identity
     smooth = ctx.smooth_exponent
     x = pow_(g, smooth)
-    bits, ops = (smooth - 1).bit_length(), 1
+    bits = (smooth - 1).bit_length()
     top = 1 << ctx.m
     mu = 0
     accepted: set[int] = set()
@@ -340,7 +327,6 @@ def filter_candidates(
         if not 1 <= cand < top or cand in dismissed:
             continue
         bits += (cand - 1).bit_length()
-        ops += 1
         if is_identity(pow_(x, cand)):
             accepted.add(cand)
             mu = cand * smooth
@@ -354,14 +340,13 @@ def filter_candidates(
         if reduced in dismissed:
             continue
         bits += (reduced - 1).bit_length()
-        ops += 1
         if is_identity(pow_(x, reduced)):
             accepted.add(cand)
             mu = math.gcd(cand * smooth, mu)
             survivors.append(cand)
         else:
             dismissed.add(reduced)
-    _charge(meter, bits, ops)
+    _charge(meter, bits)
     return survivors, mu
 
 

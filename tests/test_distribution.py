@@ -241,22 +241,24 @@ class TestTableCache:
                 table[1] = 0
 
     def test_only_the_latest_width_is_kept(self):
-        for r, m, ell in ((255, 8, 4), (2047, 11, 5)):
-            p = Params(r=r, m=m, ell=ell)
-            full_distribution(p)
-            bruteforce_distribution(p)
-        kept = distribution._kept_tables
-        assert list(kept) == [1 << 16]
-        assert len(kept[1 << 16]) == 2
+        for build in (_sin2_table, _unit_circle):
+            table = build(1 << 8)
+            assert build(1 << 8) is table
+            other = build(1 << 9)
+            assert other is not table and build(1 << 9) is other
+            rebuilt = build(1 << 8)
+            assert rebuilt is not table and np.array_equal(rebuilt, table)
 
     def test_wide_tables_are_built_but_not_kept(self):
         N = 2 << distribution._TABLE_WIDTH_LIMIT
+        kept = _sin2_table(1 << 10)
         table = _sin2_table(N)  # 16 MB of long doubles
         assert table.shape == (N // 2 + 1,) and not table.flags.writeable
         k = np.array([1, N // 6, N // 2])
         s = np.sin(PI_LD * (k.astype(np.longdouble) / np.longdouble(N)))
         assert np.array_equal(table[k], s * s)
-        assert not distribution._kept_tables
+        assert _sin2_table(N) is not table
+        assert _sin2_table(1 << 10) is kept
 
 
 class TestApproximations:

@@ -117,8 +117,7 @@ class TestParams:
             d = derive(p)
             assert d.L * r + d.beta == p.two_n
             assert 0 <= d.beta < r
-            assert d.B_max == Fraction(p.two_n - r, 2 * r)
-            assert d.B_max_floor == math.floor(d.B_max)
+            assert d.B_max_floor == math.floor(Fraction(p.two_n - r, 2 * r))
 
 
 class TestPeak:

@@ -260,13 +260,13 @@ class TestPostProcess:
                     for j in range(params.two_n):
                         order, reason, _ = blind(group, j, params, cfg)
                         try:
-                            per_offset = list(STRATEGIES[cfg.strategy].candidates(j, params))
+                            candidates = list(STRATEGIES[cfg.strategy].candidates(j, params))
                         except EnumerationBudgetExceeded:
                             assert (order, reason) == (None, "budget")
                             continue
                         hit = any(
                             recover(group, g, cand, ctx) == r
-                            for cands in per_offset for cand in cands if 1 <= cand < 1 << m
+                            for cand in candidates if 1 <= cand < 1 << m
                         )
                         assert hit == (order == r), (cfg, r, j)
                         outcomes.add(hit)
@@ -279,7 +279,7 @@ class TestLatticeStrategy:
 
     @staticmethod
     def assert_per_offset(j: int, params: Params):
-        got = list(itertools.chain.from_iterable(STRATEGIES["lattice"].candidates(j, params)))
+        got = list(STRATEGIES["lattice"].candidates(j, params))
         window = [(j + k) % params.two_n for k in range(-params.B, params.B + 1)]
         assert got == [lattice.solve_shortest(o, params) for o in window], j
 

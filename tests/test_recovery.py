@@ -25,6 +25,18 @@ from orderlab.recovery import (
 )
 
 
+class CountingGroup(SimulatedGroup):
+    """A SimulatedGroup that counts the powers applied to it."""
+
+    def __init__(self, r: int):
+        super().__init__(r)
+        self.powers = 0
+
+    def pow(self, a: int, k: int) -> int:
+        self.powers += 1
+        return super().pow(a, k)
+
+
 class TestPrimesUpTo:
     def test_small(self):
         assert primes_up_to(1) == []
@@ -39,7 +51,6 @@ class TestPrimesUpTo:
 class TestSmoothnessContext:
     def test_build_small(self):
         ctx = SmoothnessContext.build(1, 4)
-        assert ctx.cm_floor == 4
         assert ctx.primes == (2, 3)
         assert ctx.exponents == {2: 2, 3: 1}
         assert ctx.smooth_exponent == 12
@@ -90,13 +101,6 @@ class TestExponentLength:
         e = exponent_length(k)
         assert 2 ** (e - 1) < k <= 2 ** e
 
-    def test_meter_accumulates(self):
-        meter = ExponentMeter()
-        meter.add(12)
-        meter.add(1)
-        assert meter.total_bits == 4
-        assert meter.operations == 2
-
 
 class TestGoldenTraces:
     def test_multiple_recovery_trace(self):
@@ -139,11 +143,10 @@ class TestGoldenTraces:
         assert recover_order_tree(group, group.generator(), 1, ctx) is None
 
     def test_exact_candidate_returns_immediately(self):
-        group = SimulatedGroup(12)
+        group = CountingGroup(12)
         ctx = SmoothnessContext.build(1, 4)
-        meter = ExponentMeter()
-        assert recover_order_stack(group, group.generator(), 12, ctx, meter) == 12
-        assert meter.operations == 1  # just the initial power
+        assert recover_order_stack(group, group.generator(), 12, ctx) == 12
+        assert group.powers == 1  # just the initial power
 
     def test_out_of_range_candidates(self):
         group = SimulatedGroup(12)
@@ -253,10 +256,10 @@ class TestFilter:
         assert survivors == [11, 22]
         # within one call, a repeated candidate and a repeated dismissed
         # reduction cost no further power: one for x, then 11, 22 and 3
-        meter = ExponentMeter()
-        survivors, _ = filter_candidates(group, g, [11, 3, 22, 11, 3], ctx, meter)
+        group = CountingGroup(220)
+        survivors, _ = filter_candidates(group, g, [11, 3, 22, 11, 3], ctx)
         assert survivors == [11, 22]
-        assert meter.operations == 4
+        assert group.powers == 4
 
     def test_mu_reduction_preserves_verdicts(self):
         group = SimulatedGroup(360)
@@ -331,7 +334,7 @@ class TestBudgetFormulas:
 
 def _ref_pow(group, x, k: int, meter: ExponentMeter | None):
     if meter is not None:
-        meter.add(k)
+        meter.total_bits += exponent_length(k)
     return group.pow(x, k)
 
 
@@ -357,7 +360,7 @@ def reference_recover_multiple(group, g, r_tilde, ctx, meter=None, trace=None):
 
 
 def reference_recover_order_stack(group, g, r_tilde, ctx, meter=None, trace=None):
-    """recover_order_stack metering every power through ExponentMeter.add."""
+    """recover_order_stack metering every power through _ref_pow."""
     if not 1 <= r_tilde < (1 << ctx.m):
         return None
     x = _ref_pow(group, g, r_tilde, meter)
@@ -438,16 +441,13 @@ def reference_filter_candidates(group, g, candidates, ctx, meter=None):
 
 
 def assert_meters_like_reference(fn, reference, *args):
-    """Same result, total_bits and operations as the reference, and the
-    same result with meter=None; returns the result."""
+    """Same result and total_bits as the reference, and the same result
+    with meter=None; returns the result."""
     got_meter, want_meter = ExponentMeter(), ExponentMeter()
     got = fn(*args, meter=got_meter)
     want = reference(*args, meter=want_meter)
     assert got == want
-    assert (got_meter.total_bits, got_meter.operations) == (
-        want_meter.total_bits,
-        want_meter.operations,
-    )
+    assert got_meter.total_bits == want_meter.total_bits
     assert fn(*args) == want
     return got
 
@@ -468,8 +468,7 @@ def group_and_element(kind: str, data):
 
 class TestMeterOracle:
     """The recovery functions keep their exponent totals in locals; each
-    gives the per-power reference's result, survivors, mu, total_bits and
-    operations."""
+    gives the per-power reference's result, survivors, mu and total_bits."""
 
     @given(st.sampled_from(["simulated", "modn"]), st.sampled_from([1, 1.5, 2, 5, 10]), st.data())
     @settings(max_examples=300, deadline=None)
@@ -568,18 +567,6 @@ class TestMeterOracle:
         )
 
 
-class CountingGroup(SimulatedGroup):
-    """A SimulatedGroup that counts the powers applied to it."""
-
-    def __init__(self, r: int):
-        super().__init__(r)
-        self.powers = 0
-
-    def pow(self, a: int, k: int) -> int:
-        self.powers += 1
-        return super().pow(a, k)
-
-
 class TestTreePruning:
     """recover_order_tree enters no subtree whose element is the identity,
     while its meter still charges the whole split."""
@@ -604,7 +591,7 @@ class TestTreePruning:
         meter = ExponentMeter()
         assert recover_order_tree(group, 1, r, self.ctx, meter) == r
         assert group.powers == 1
-        assert meter.operations == 1 + 2 * (len(self.ctx.primes) - 1)
+        assert meter.total_bits == (r - 1).bit_length() + self.ctx.split_bits
 
     def test_two_prime_cofactor_visits_two_paths(self):
         # d = 3 * 5: at most two elements per level differ from the
