@@ -40,11 +40,27 @@ FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 class Strategy(NamedTuple):
     """A solver strategy: a function from the window j-B..j+B to its order
-    candidates, one flat iterable of ints in offset order; and the
-    elimination mode of the analytic bound covering it."""
+    candidates, one flat iterable of ints with the offsets k taken
+    centre-out, 0, +1, -1, ..., +B, -B; and the elimination mode of the
+    analytic bound covering it."""
 
     candidates: Callable[[int, Params], Iterable[int]]
     elimination: str
+
+
+def _centre_out(per_offset: list) -> list:
+    """A window's per-offset list, given for k = -B..B, reordered
+    k = 0, +1, -1, ..., +B, -B.
+
+    The measurement lands mostly at k = 0, so the filter meets an
+    accepted candidate early and tests the rest through the accepted
+    candidates' gcd.  The order depends on B alone, so it stays blind.
+    """
+    B = len(per_offset) // 2
+    out = per_offset[:]
+    out[::2] = per_offset[B::-1]
+    out[1::2] = per_offset[B + 1:]
+    return out
 
 
 def _window(j: int, params: Params) -> list[int]:
@@ -54,13 +70,16 @@ def _window(j: int, params: Params) -> list[int]:
 
 # Each entry looks its solver up through this module's `cf` and `lattice`
 # names at call time, so a wrapper installed on those names sees every call.
+# The window solvers return their offsets in order -B..B, which their shared
+# steps need; each entry reorders them centre-out.
 STRATEGIES = {
     # the last continued-fraction convergent below 2**(n/2) of each offset
-    "cf": Strategy(lambda j, p: cf.solve_cf_window(j, p.B, p), "sqrt"),
+    "cf": Strategy(lambda j, p: _centre_out(cf.solve_cf_window(j, p.B, p)), "sqrt"),
     # the shortest vector of each offset's reduced frequency lattice
     # (lattice.solve_shortest), the window reduced once
     "lattice": Strategy(
-        lambda j, p: [abs(rb.s1.y2) for rb in lattice.reduce_window(j, p.B, p)], "sqrt"
+        lambda j, p: [abs(rb.s1.y2) for rb in _centre_out(lattice.reduce_window(j, p.B, p))],
+        "sqrt",
     ),
     # every short lattice vector, with the reduced register ell = m - delta; the
     # window is reduced once and each offset enumerated from its own basis, one
@@ -68,7 +87,7 @@ STRATEGIES = {
     "enumerate": Strategy(
         lambda j, p: itertools.chain.from_iterable(
             lattice.enumerate_candidates(o, p, rb).candidates
-            for o, rb in zip(_window(j, p), lattice.reduce_window(j, p.B, p))
+            for o, rb in _centre_out(list(zip(_window(j, p), lattice.reduce_window(j, p.B, p))))
         ),
         "pow2ell",
     ),
@@ -142,10 +161,10 @@ def post_process(
 
     Never reads params.r; it uses only m, ell and the window half-width B.
     The strategy's candidates of the offsets j-B..j+B are kept once each,
-    in first-seen order, and those in [1, 2**m) go to the recovery.  It
-    recovers the order r of g exactly when some in-range candidate c
-    alone has recover(group, g, c, ctx) == r, except that a budget
-    overrun fails the whole window.
+    in first-seen order with the offsets taken centre-out, and those in
+    [1, 2**m) go to the recovery.  It recovers the order r of g exactly
+    when some in-range candidate c alone has recover(group, g, c, ctx)
+    == r, except that a budget overrun fails the whole window.
     """
     try:
         candidates = dict.fromkeys(STRATEGIES[config.strategy].candidates(j, params))

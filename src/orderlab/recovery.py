@@ -302,52 +302,61 @@ def filter_candidates(
 
     A candidate passes exactly when the order divides r~ times a smooth
     cofactor, so every surviving candidate is worth running recovery on.
+    Returns the survivors, deduplicated in first-seen order, and
+    mu = G * smooth_exponent, a multiple of the order, where G is the gcd
+    of the survivors (mu = 0 when none survives).
+
     The loop runs in two phases.  Until the first acceptance each
-    candidate r~ is tested as it is.  The first accepted r~ sets
-    mu = r~ * smooth_exponent, a multiple of the order, and from then on
-    mu accumulates a shrinking multiple of the order and each candidate
-    is tested through the usually-much-smaller exponent gcd(r~, mu).
-    Because mu stays a multiple of the order, that accepts and rejects
-    the same candidates as testing r~ itself.  Repeated candidates and
-    repeated dismissed reductions are skipped.  Returns the survivors,
-    deduplicated in first-seen order, and the final mu (0 when none
-    survives).
+    candidate r~ is tested as it is, and the first accepted r~ sets
+    G = r~.  From then on each candidate is tested through the exponent
+    gcd(r~, G), at most m bits, and an acceptance sets G to it.  This
+    gives the same verdicts.  With r the order of g, x has order
+    r' = r / gcd(r, smooth_exponent), and r~ passes exactly when r' | r~.
+    Every accepted candidate is a multiple of r', so G is too, and
+    r' | gcd(r~, G) exactly when r' | r~.  The smooth exponent need not
+    ride along in the gcd: gcd(r~ * smooth_exponent, mu) is
+    gcd(r~, G) * smooth_exponent, so mu is the same value that
+    reducing through mu itself would reach.
+
+    Repeated candidates are skipped, and so is a reduction equal to a
+    dismissed one: every dismissed d has r' not dividing d, so a later
+    gcd(r~, G) = d would be rejected too, however far G has shrunk.
     """
     pow_, is_identity = group.pow, group.is_identity
     smooth = ctx.smooth_exponent
     x = pow_(g, smooth)
     bits = (smooth - 1).bit_length()
     top = 1 << ctx.m
-    mu = 0
+    G = 0
     accepted: set[int] = set()
     dismissed: set[int] = set()
     survivors: list[int] = []
     rest = iter(candidates)
-    for cand in rest:  # mu = 0 and nothing accepted yet
+    for cand in rest:  # nothing accepted yet
         if not 1 <= cand < top or cand in dismissed:
             continue
         bits += (cand - 1).bit_length()
         if is_identity(pow_(x, cand)):
             accepted.add(cand)
-            mu = cand * smooth
+            G = cand
             survivors.append(cand)
             break
         dismissed.add(cand)
     for cand in rest:
         if not 1 <= cand < top or cand in accepted:
             continue
-        reduced = math.gcd(cand, mu)
+        reduced = math.gcd(cand, G)
         if reduced in dismissed:
             continue
         bits += (reduced - 1).bit_length()
         if is_identity(pow_(x, reduced)):
             accepted.add(cand)
-            mu = math.gcd(cand * smooth, mu)
+            G = reduced
             survivors.append(cand)
         else:
             dismissed.add(reduced)
     _charge(meter, bits)
-    return survivors, mu
+    return survivors, G * smooth
 
 
 _RECOVERY = {

@@ -40,6 +40,12 @@ def peak_frequency(z: int, params: Params) -> int:
     return peak(z, params).j0 % params.two_n
 
 
+def centre_out(B: int) -> list[int]:
+    """The window's offsets k in the order the strategies visit them:
+    0, +1, -1, ..., +B, -B."""
+    return [0] + [sign * k for k in range(1, B + 1) for sign in (1, -1)]
+
+
 def blind(group, j: int, params: Params, cfg: RunConfig):
     """post_process at j with a fresh meter: (order, reason, bits metered)."""
     meter = ExponentMeter()
@@ -118,9 +124,19 @@ class TestRunOnce:
         cfg = RunConfig(m=8, ell=6, B=3, c=10.0, strategy="enumerate", delta=2)
         j = peak_frequency(5, params)
         blind(SimulatedGroup(210), j, params, cfg)
-        offsets = [(j + k) % params.two_n for k in range(-3, 4)]
+        offsets = [(j + k) % params.two_n for k in centre_out(3)]
         assert reduced == [(j, 3)]
         assert enumerated == [(o, lattice.lagrange_reduce(o, params)) for o in offsets]
+
+    def test_cf_entry_permutes_the_window_centre_out(self):
+        # solve_cf_window lists the offsets -B..B; the entry yields the same
+        # solutions with k = 0, +1, -1, ..., +B, -B, also where the window
+        # wraps past 0 or 2**n
+        p = Params(r=3, m=16, ell=16, B=4)
+        for j in (0, 2, 9, 1234, p.two_n - 3, p.two_n - 1):
+            per_offset = dict(zip(range(-p.B, p.B + 1), cf.solve_cf_window(j, p.B, p)))
+            got = STRATEGIES["cf"].candidates(j, p)
+            assert got == [per_offset[k] for k in centre_out(p.B)], j
 
     def test_lattice_window_reduced_once_per_trial(self, monkeypatch):
         # the lattice entry reduces the window through pipeline.lattice once
@@ -274,13 +290,13 @@ class TestPostProcess:
 
 
 class TestLatticeStrategy:
-    """The lattice entry gives solve_shortest of each offset, in offset
-    order, from one reduction of the window."""
+    """The lattice entry gives solve_shortest of each offset, centre-out,
+    from one reduction of the window."""
 
     @staticmethod
     def assert_per_offset(j: int, params: Params):
         got = list(STRATEGIES["lattice"].candidates(j, params))
-        window = [(j + k) % params.two_n for k in range(-params.B, params.B + 1)]
+        window = [(j + k) % params.two_n for k in centre_out(params.B)]
         assert got == [lattice.solve_shortest(o, params) for o in window], j
 
     @given(st.integers(2, 300), st.integers(0, 3), st.integers(1, 4), st.data())
@@ -428,7 +444,7 @@ class TestGoldenReports:
         ', "trials": 300, "successes": 294, "rate": 0.98, "wilson99": [0.946549348115'
         ', 0.992678388821], "bound": 0.966927653976, "slack": 0.0309734883177, "pass": true'
         ', "failure_counts": {"tail": 0, "no_candidate": 0, "unsmooth_d": 6, "budget": 0}'
-        ', "exponent_bits": {"mean": 12445.17, "max": 515387}}'
+        ', "exponent_bits": {"mean": 9698.84666667, "max": 513911}}'
     )
     LATTICE_STACK = (
         '{"config": {"m": 32, "ell": 32, "B": 10, "c": 10, "delta": null'
@@ -437,7 +453,7 @@ class TestGoldenReports:
         ', "wilson99": [0.966620057795, 0.9986973385], "bound": 0.966928369131'
         ', "slack": 0.0309731648853, "pass": true, "failure_counts": {"tail": 0'
         ', "no_candidate": 0, "unsmooth_d": 2, "budget": 0}'
-        ', "exponent_bits": {"mean": 702.78, "max": 9166}}'
+        ', "exponent_bits": {"mean": 588.54, "max": 9098}}'
     )
     LATTICE_STACK_CSV = (
         "m,ell,B,c,delta,strategy,recovery,t_max,seed,trials,successes,rate"
@@ -445,7 +461,7 @@ class TestGoldenReports:
         ",fail_unsmooth_d,fail_budget,exponent_bits_mean,exponent_bits_max\n"
         "32,32,10,10,,lattice,stack,16777216,2024,300,298,0.993333333333"
         ",0.966620057795,0.9986973385,0.966928369131,0.0309731648853,true,0,0,2,0"
-        ",702.78,9166\n"
+        ",588.54,9098\n"
     )
 
     CF_STACK = (
@@ -455,7 +471,7 @@ class TestGoldenReports:
         ', "wilson99": [0.966620057795, 0.9986973385], "bound": 0.966928369131'
         ', "slack": 0.0309731648853, "pass": true, "failure_counts": {"tail": 0'
         ', "no_candidate": 0, "unsmooth_d": 2, "budget": 0}'
-        ', "exponent_bits": {"mean": 711.123333333, "max": 10584}}'
+        ', "exponent_bits": {"mean": 593.166666667, "max": 10517}}'
     )
     CF_STACK_CSV = (
         "m,ell,B,c,delta,strategy,recovery,t_max,seed,trials,successes,rate"
@@ -463,7 +479,7 @@ class TestGoldenReports:
         ",fail_unsmooth_d,fail_budget,exponent_bits_mean,exponent_bits_max\n"
         "32,32,10,10,,cf,stack,16777216,2024,300,298,0.993333333333"
         ",0.966620057795,0.9986973385,0.966928369131,0.0309731648853,true,0,0,2,0"
-        ",711.123333333,10584\n"
+        ",593.166666667,10517\n"
     )
     CF_TREE = (
         '{"config": {"m": 32, "ell": 32, "B": 10, "c": 10, "delta": null'
@@ -472,7 +488,7 @@ class TestGoldenReports:
         ', "wilson99": [0.966620057795, 0.9986973385], "bound": 0.966928369131'
         ', "slack": 0.0309731648853, "pass": true, "failure_counts": {"tail": 0'
         ', "no_candidate": 0, "unsmooth_d": 2, "budget": 0}'
-        ', "exponent_bits": {"mean": 3647.30333333, "max": 24129}}'
+        ', "exponent_bits": {"mean": 3529.34666667, "max": 24062}}'
     )
     # `orderlab sample` with the walk capped at one offset: draws 2 and 7 are tails
     SAMPLE_TAILS = (

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orderlab.factorint import factorize
 from orderlab.model import ModNGroup, Rng, SimulatedGroup
+from orderlab.pipeline import true_order
 from orderlab.recovery import (
     ExponentMeter,
     SmoothnessContext,
@@ -419,19 +420,53 @@ def reference_recover_order_tree(group, g, r_tilde, ctx, meter=None):
 
 
 def reference_filter_candidates(group, g, candidates, ctx, meter=None):
-    """filter_candidates with per-power metering."""
+    """filter_candidates with per-power metering, in one loop: each
+    candidate is reduced through the gcd G of those accepted so far
+    (gcd(cand, 0) = cand before the first)."""
     x = _ref_pow(group, g, ctx.smooth_exponent, meter)
-    mu = 0
+    G = 0
     accepted, dismissed, survivors = set(), set(), []
     for cand in candidates:
-        if not 1 <= cand < (1 << ctx.m):
+        if not 1 <= cand < (1 << ctx.m) or cand in accepted:
             continue
-        if cand in accepted:
-            continue
-        reduced = math.gcd(cand, mu) if mu else cand
+        reduced = math.gcd(cand, G)
         if reduced in dismissed:
             continue
         if group.is_identity(_ref_pow(group, x, reduced, meter)):
+            accepted.add(cand)
+            G = reduced
+            survivors.append(cand)
+        else:
+            dismissed.add(reduced)
+    return survivors, G * ctx.smooth_exponent
+
+
+def reference_filter_smooth_mu(group, g, candidates, ctx):
+    """The filter that reduced each candidate through gcd(cand, mu), where
+    mu carries the smooth exponent: mu = cand * smooth_exponent at the
+    first acceptance, then gcd(cand * smooth_exponent, mu) at each one
+    after.  Unmetered; it pins filter_candidates' survivors and mu."""
+    x = group.pow(g, ctx.smooth_exponent)
+    top = 1 << ctx.m
+    mu = 0
+    accepted, dismissed, survivors = set(), set(), []
+    rest = iter(candidates)
+    for cand in rest:
+        if not 1 <= cand < top or cand in dismissed:
+            continue
+        if group.is_identity(group.pow(x, cand)):
+            accepted.add(cand)
+            mu = cand * ctx.smooth_exponent
+            survivors.append(cand)
+            break
+        dismissed.add(cand)
+    for cand in rest:
+        if not 1 <= cand < top or cand in accepted:
+            continue
+        reduced = math.gcd(cand, mu)
+        if reduced in dismissed:
+            continue
+        if group.is_identity(group.pow(x, reduced)):
             accepted.add(cand)
             mu = math.gcd(cand * ctx.smooth_exponent, mu)
             survivors.append(cand)
@@ -500,6 +535,23 @@ class TestMeterOracle:
         candidates += data.draw(st.lists(st.sampled_from(candidates), max_size=10)) if candidates else []
         assert_meters_like_reference(
             filter_candidates, reference_filter_candidates, group, g, candidates, ctx
+        )
+
+    @given(st.sampled_from(["simulated", "modn"]), st.sampled_from([1, 1.5, 2, 5, 10]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_filter_matches_the_smooth_mu_filter(self, kind, c, data):
+        # survivors and mu, not bits: the G-reduced filter tests other
+        # exponents than the one that carried the smooth exponent in mu
+        group, g, m = group_and_element(kind, data)
+        ctx = SmoothnessContext.build(c, m)
+        order = group.r // math.gcd(group.r, g) if kind == "simulated" else true_order(group.N, g)
+        multiples = st.integers(1, ((1 << m) - 1) // order).map(lambda k: k * order)
+        candidates = data.draw(st.lists(
+            st.one_of(st.integers(-2, (1 << m) + 2), multiples), max_size=40
+        ))
+        candidates += data.draw(st.lists(st.sampled_from(candidates), max_size=10)) if candidates else []
+        assert filter_candidates(group, g, candidates, ctx) == reference_filter_smooth_mu(
+            group, g, candidates, ctx
         )
 
     def test_unsmooth_early_exits(self):
