@@ -10,32 +10,36 @@ the second coordinate doubled: Vec(x, y2) means the point (x, y2/2).
 Squared norms are then (4 x^2 + y2^2)/4, and all comparisons below use
 the integer quantity norm4 = 4 x^2 + y2^2.  Everything is exact.
 
-A window j-B..j+B shares most of its reduction (reduce_window).  Every
-vector met is a (o, 1) + b (2**n, 0), and Lagrange's steps act on the
-multiples (a, b) alone, so on a run of offsets o = lo + u, u = 0..w,
-with the same multiples, a vector is (x + a u, a): x its first
-coordinate at lo, affine in u with slope a, and y2 = a constant.  A step
-on (s1, s2) takes t = floor((2 num + den) / (2 den)), num = dot4(s1, s2),
-den = norm4(s1) > 0, and swaps when norm4(s2 - t s1) < norm4(s1).  So
-offset lo + u takes the same t exactly when
+A window j-B..j+B is reduced offset by offset (reduce_window).  Every
+lattice vector is a (o, 1) + b (2**n, 0), and the same (a, b) at offset
+o + 1 give a (o + 1, 1) + b (2**n, 0): the shear (x, y2) -> (x + y2, y2)
+maps a basis of offset o's lattice onto one of offset o + 1's.  So the
+first offset is reduced from (o, 1), (2**n, 0), and each later one from
+its left neighbour's reduced basis, sheared by one.  The lattice of o
+depends only on o mod 2**n, so a window that wraps past 0 or 2**n needs
+no split.
 
-    P(u) = 2 num + (1 - 2t) den >= 0  and  Q(u) = (1 + 2t) den - 2 num - 1 >= 0,
-
-and the same swap decision exactly when D(u) = norm4(s1) - norm4(s2 - t s1)
-has the sign of D(0): D - 1 >= 0 or -D >= 0.  P, Q and D are quadratics
-in u whose integer coefficients come from the values at lo and the
-slopes a_i.  A quadratic c0 + c1 u + c2 u**2 is >= 0 at every integer of
-[0, w] if the cheap bound c0 + min(0, c1 w) + min(0, c2) w**2 is >= 0;
-otherwise exactly if it is >= 0 at u = 0, at u = w and, when c2 > 0 and
-the vertex -c1 / (2 c2) lies in (0, w), at the two integers around the
-vertex: a convex quadratic is smallest over the integers next to its
-vertex, a concave or linear one at an end.  When the certificates of a
-step hold, every offset of the run takes that step, the multiples stay
-shared, and the induction goes on.  At the first step they do not
-prove, each offset finishes alone from the shared pair, which is where
-lagrange_reduce would be at that step (after a proven t, its next
-rounding is 0).  So reduce_window returns lagrange_reduce of every
-offset, step for step.
+Both starts end in the same basis, because the reduced basis is unique
+once its signs are fixed.  Under norm4 the basis (o, 1), (2**n, 0) has
+the quadratic form (4 o**2 + 1, 8 o 2**n, 4 * 4**n), primitive (its
+first coefficient is odd and prime to o) with discriminant -16 * 4**n.
+A reduced basis s1, s2 of the same lattice gives an equivalent form,
+so also primitive, (a, b, c) = (norm4 s1, 2 dot4(s1, s2), norm4 s2)
+with |b| <= a <= c.
+  - a = c makes (a - b/2)(a + b/2) = 4**(n+1) with |b| <= a, which
+    forces b = 0 and a = 2**(n+1); that form is not primitive, so a < c.
+  - |b| = a makes a (4 c - a) = 16 * 4**n with a prime to c, which
+    forces a = 4 and c = 4**n + 1.  Then s1 = (0, +-2), a lattice
+    vector only at o = 2**(n-1).
+Every vector outside the multiples of s1 has norm4 >= c > a, so s1 is
+the shortest vector, unique up to sign.  The bases with s1 are
+(s1, +-s2 + k s1), and norm4(s2 + k s1) = c + k b + k**2 a > c for
+k != 0 when |b| < a.  So outside o = 2**(n-1) s2 too is unique up to
+sign; at o = 2**(n-1) it has two choices, (+-2**(n-1), -1) up to sign.
+_lagrange ends by fixing the canonical form: each vector's second
+coordinate is negative, or 0 with a negative first coordinate, and at
+o = 2**(n-1) s1 = (0, -2), s2 = (2**(n-1), -1).  So reduce_window
+returns lagrange_reduce of every offset exactly.
 
 The enumeration counts each row m2 of w = m1 s1 + m2 s2 in closed form:
 with A = norm4(s1) the Gram determinant 2**(2n+2) gives
@@ -66,7 +70,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import bounds
-from .model import Params, window_runs
+from .model import Params, check_window
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -93,20 +97,13 @@ def basis_for(j: int, params: Params) -> tuple[Vec, Vec]:
     return Vec(j % N, 1), Vec(N, 0)
 
 
-Multiples = tuple[tuple[int, int], tuple[int, int]]
-
-
 @dataclass(frozen=True)
 class ReducedBasis:
-    """Lagrange-reduced basis with its expression in the original basis.
-
-    s1 is the shorter vector; multiples has determinant +-1 and satisfies
-    s_i = multiples[i][0] * b1 + multiples[i][1] * b2.
-    """
+    """Lagrange-reduced basis of a frequency lattice, in the canonical
+    form of the module docstring; s1 is the shorter vector."""
 
     s1: Vec
     s2: Vec
-    multiples: Multiples
 
 
 def _round_ratio(num: int, den: int) -> int:
@@ -114,100 +111,54 @@ def _round_ratio(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _lagrange(x1: int, a1: int, b1: int, x2: int, a2: int, b2: int) -> ReducedBasis:
-    """Lagrange's loop from s1 = (x1, a1), s2 = (x2, a2), where
-    s_i = a_i (o, 1) + b_i (2**n, 0): a vector's doubled second coordinate
-    is its a_i."""
-    n1 = 4 * x1 * x1 + a1 * a1
-    n2 = 4 * x2 * x2 + a2 * a2
+def _lagrange(x1: int, y1: int, x2: int, y2: int) -> ReducedBasis:
+    """Lagrange's loop from any basis s1 = (x1, y1), s2 = (x2, y2) of a
+    frequency lattice, ending in the canonical form."""
+    n1 = 4 * x1 * x1 + y1 * y1
+    n2 = 4 * x2 * x2 + y2 * y2
     while True:
-        t = _round_ratio(4 * x2 * x1 + a2 * a1, n1)
+        t = _round_ratio(4 * x2 * x1 + y2 * y1, n1)
         if t:
             x2 -= t * x1
-            a2 -= t * a1
-            b2 -= t * b1
-            n2 = 4 * x2 * x2 + a2 * a2
+            y2 -= t * y1
+            n2 = 4 * x2 * x2 + y2 * y2
         if n2 < n1:
-            x1, a1, b1, n1, x2, a2, b2, n2 = x2, a2, b2, n2, x1, a1, b1, n1
+            x1, y1, n1, x2, y2, n2 = x2, y2, n2, x1, y1, n1
         else:
             break
-    return ReducedBasis(s1=Vec(x1, a1), s2=Vec(x2, a2), multiples=((a1, b1), (a2, b2)))
+    if y1 > 0:  # y1 != 0: s1 is shorter than every multiple of (2**n, 0)
+        x1, y1 = -x1, -y1
+    if y2 > 0 or not y2 and x2 > 0:
+        x2, y2 = -x2, -y2
+    if n1 == 4:  # only at o = 2**(n-1), where s2 = (+-2**(n-1), -1) both reduce
+        x2 = abs(x2)
+    return ReducedBasis(s1=Vec(x1, y1), s2=Vec(x2, y2))
 
 
 def lagrange_reduce(j: int, params: Params) -> ReducedBasis:
     """Gauss/Lagrange reduction of the frequency lattice for j.
 
-    Exact arithmetic on bare ints, from the basis with multiples (1, 0)
-    and (0, 1).  The start needs no swap: with o = j mod 2**n,
-    norm4((o, 1)) = 4 o**2 + 1 < 4 * 2**(2n) = norm4((2**n, 0)).
+    Exact arithmetic on bare ints, from the basis (o, 1), (2**n, 0) with
+    o = j mod 2**n.
     """
-    (x1, a1), (x2, a2) = basis_for(j, params)
-    return _lagrange(x1, a1, 0, x2, a2, 1)
-
-
-def _nonneg(c0: int, c1: int, c2: int, w: int, ww: int) -> bool:
-    """Whether c0 + c1 u + c2 u**2 >= 0 at every integer u in [0, w], ww = w*w."""
-    if c0 + min(0, c1 * w) + min(0, c2 * ww) >= 0:
-        return True
-    if c0 < 0 or c0 + c1 * w + c2 * ww < 0:
-        return False
-    if c2 > 0 and 0 < -c1 < 2 * c2 * w:
-        u = -c1 // (2 * c2)  # the vertex lies in (u, u + 1], both in [0, w]
-        return c0 + c1 * u + c2 * u * u >= 0 and c0 + c1 * (u + 1) + c2 * (u + 1) ** 2 >= 0
-    return True
-
-
-def _reduce_run(lo: int, w: int, N: int) -> list[ReducedBasis]:
-    """lagrange_reduce of each offset lo..lo + w (all in [0, N)), sharing
-    every step that a certificate proves the same for all of them."""
-    x1, a1, b1, x2, a2, b2 = lo, 1, 0, N, 0, 1
-    if w:
-        ww = w * w
-        # coefficients in u of norm4(s1) (d), dot4(s1, s2) (m), P and
-        # norm4(s2 - t s1) (e); Q = 2 d - P - 1 and D = d - e
-        d0, d1, d2 = 4 * lo * lo + 1, 8 * lo, 4
-        while True:
-            m0, m1, m2 = 4 * x1 * x2 + a1 * a2, 4 * (x1 * a2 + x2 * a1), 4 * a1 * a2
-            t, p0 = divmod(2 * m0 + d0, 2 * d0)  # t and P(0) at lo
-            p1, p2 = 2 * m1 + (1 - 2 * t) * d1, 2 * m2 + (1 - 2 * t) * d2
-            if not (
-                _nonneg(p0, p1, p2, w, ww)
-                and _nonneg(2 * d0 - 1 - p0, 2 * d1 - p1, 2 * d2 - p2, w, ww)
-            ):
-                break
-            if t:
-                x2 -= t * x1
-                a2 -= t * a1
-                b2 -= t * b1
-            e0, e1, e2 = 4 * x2 * x2 + a2 * a2, 8 * x2 * a2, 4 * a2 * a2
-            if e0 >= d0:
-                if not _nonneg(e0 - d0, e1 - d1, e2 - d2, w, ww):
-                    break
-                return [
-                    ReducedBasis(
-                        s1=Vec(x1 + a1 * u, a1),
-                        s2=Vec(x2 + a2 * u, a2),
-                        multiples=((a1, b1), (a2, b2)),
-                    )
-                    for u in range(w + 1)
-                ]
-            if not _nonneg(d0 - e0 - 1, d1 - e1, d2 - e2, w, ww):
-                break
-            x1, a1, b1, d0, d1, d2, x2, a2, b2 = x2, a2, b2, e0, e1, e2, x1, a1, b1
-    return [_lagrange(x1 + a1 * u, a1, b1, x2 + a2 * u, a2, b2) for u in range(w + 1)]
+    (x1, y1), (x2, y2) = basis_for(j, params)
+    return _lagrange(x1, y1, x2, y2)
 
 
 def reduce_window(j: int, B: int, params: Params) -> list[ReducedBasis]:
     """lagrange_reduce of each offset (j + k) mod 2**n, k = -B..B, in offset order.
 
-    A window that wraps past 0 or 2**n is split where it wraps, into
-    runs lo..hi of consecutive offsets (model.window_runs).  Each run
-    shares the Lagrange steps that the certificates of the module
-    docstring prove, and its offsets finish alone from the first step
-    they cannot prove.
+    The first offset is reduced from scratch and each later one from its
+    left neighbour's basis, sheared by one (module docstring).
     """
-    N = params.two_n
-    return [rb for lo, w in window_runs(j, B, N) for rb in _reduce_run(lo, w, N)]
+    check_window(j, B, params.two_n)
+    rb = lagrange_reduce(j - B, params)
+    window = [rb]
+    for _ in range(2 * B):
+        (x1, y1), (x2, y2) = rb.s1, rb.s2
+        rb = _lagrange(x1 + y1, y1, x2 + y2, y2)
+        window.append(rb)
+    return window
 
 
 def solve_shortest(j: int, params: Params) -> int:

@@ -130,6 +130,15 @@ def frequency_argument(j: int, params: Params) -> int:
     return signed_residue(params.r * j, params.two_n)
 
 
+def check_window(j: int, B: int, N: int) -> None:
+    """Reject a window j-B..j+B whose centre is outside [0, N) or whose
+    half-width B is negative."""
+    if not 0 <= j < N:
+        raise ValueError(f"frequency {j} outside [0, {N})")
+    if B < 0:
+        raise ValueError(f"window half-width B must be >= 0, got {B}")
+
+
 def window_runs(j: int, B: int, N: int) -> list[tuple[int, int]]:
     """The window (j + k) mod N, k = -B..B, as runs (lo, w) of consecutive
     offsets lo..lo + w, all in [0, N), in offset order.
@@ -138,10 +147,7 @@ def window_runs(j: int, B: int, N: int) -> list[tuple[int, int]]:
     there from near 1 to near 0), so the solvers that share work across
     a run see only consecutive offsets.
     """
-    if not 0 <= j < N:
-        raise ValueError(f"frequency {j} outside [0, {N})")
-    if B < 0:
-        raise ValueError(f"window half-width B must be >= 0, got {B}")
+    check_window(j, B, N)
     start, stop = j - B, j + B
     runs = []
     while start <= stop:

@@ -71,7 +71,8 @@ def _window(j: int, params: Params) -> list[int]:
 # Each entry looks its solver up through this module's `cf` and `lattice`
 # names at call time, so a wrapper installed on those names sees every call.
 # The window solvers return their offsets in order -B..B, which their shared
-# steps need; each entry reorders them centre-out.
+# work needs (cf's shared Euclid steps, lattice's neighbour starts); each
+# entry reorders them centre-out.
 STRATEGIES = {
     # the last continued-fraction convergent below 2**(n/2) of each offset
     "cf": Strategy(lambda j, p: _centre_out(cf.solve_cf_window(j, p.B, p)), "sqrt"),
@@ -479,14 +480,14 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
         y = pow(x, u, N)
         if y == 1:
             continue
-        prev = None
         steps = 0
         while y != 1 and steps <= s:
             prev = y
             y = (y * y) % N
             steps += 1
         if y == 1:
-            if prev is not None and prev != N - 1:
+            # y != 1 before the loop, so it squared at least once: prev is set
+            if prev != N - 1:
                 parts = split_parts(parts, math.gcd(prev - 1, N))
                 parts = split_parts(parts, math.gcd(prev + 1, N))
         else:

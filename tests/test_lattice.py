@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orderlab import bounds, lattice
+from orderlab import bounds
 from orderlab.bounds import enumeration_budget
 from orderlab.lattice import (
     EnumerationBudgetExceeded,
@@ -24,8 +24,21 @@ from orderlab.lattice import (
 from orderlab.model import Params, peak
 
 
-def vec_from_multiples(mult, b1: Vec, b2: Vec) -> Vec:
-    return Vec(mult[0] * b1.x + mult[1] * b2.x, mult[0] * b1.y2 + mult[1] * b2.y2)
+def canonical(rb: ReducedBasis, params: Params) -> ReducedBasis:
+    """The canonical form of a reduced basis, as the lattice module
+    docstring states it: each second coordinate negative, or 0 with a
+    negative first coordinate; at o = 2**(n-1), where s1 = (0, -2),
+    s2 = (2**(n-1), -1) of the two reduced choices (+-2**(n-1), -1)."""
+
+    def negative(v: Vec) -> Vec:
+        return v if (v.y2, v.x) < (0, 0) else Vec(-v.x, -v.y2)
+
+    s1, s2 = negative(rb.s1), negative(rb.s2)
+    if s1 == Vec(0, -2):
+        half = params.two_n // 2
+        assert s2 in (Vec(half, -1), Vec(-half, -1))
+        s2 = Vec(half, -1)
+    return ReducedBasis(s1=s1, s2=s2)
 
 
 class TestNormAndBasis:
@@ -48,12 +61,14 @@ class TestLagrangeReduce:
         p = Params(r=3, m=2, ell=max(1, n_half - 2))
         j = data.draw(st.integers(0, p.two_n - 1))
         rb = lagrange_reduce(j, p)
-        b1, b2 = basis_for(j, p)
-        u1, u2 = rb.multiples
-        # multiples are unimodular and reproduce the reduced vectors
-        assert u1[0] * u2[1] - u1[1] * u2[0] in (1, -1)
-        assert vec_from_multiples(u1, b1, b2) == rb.s1
-        assert vec_from_multiples(u2, b1, b2) == rb.s2
+        # s_i = a_i (o, 1) + b_i (2**n, 0): a_i is the doubled second
+        # coordinate, b_i an exact quotient, and the multiples are unimodular
+        (a1, b1), (a2, b2) = (
+            (s.y2, (s.x - s.y2 * j) // p.two_n) for s in (rb.s1, rb.s2)
+        )
+        assert rb.s1.x == a1 * j + b1 * p.two_n
+        assert rb.s2.x == a2 * j + b2 * p.two_n
+        assert a1 * b2 - a2 * b1 in (1, -1)
         # reduced: |s1| <= |s2| <= |s2 + s1|, |s2 - s1|
         assert norm4(rb.s1) <= norm4(rb.s2)
         plus = Vec(rb.s2.x + rb.s1.x, rb.s2.y2 + rb.s1.y2)
@@ -69,6 +84,50 @@ class TestLagrangeReduce:
             p = Params(r=5, m=3, ell=5)
             rb = lagrange_reduce(j, p)
             assert 3 * norm4(rb.s1) ** 2 <= 16 * p.two_n ** 2
+
+
+class TestCanonicalBasis:
+    """The uniqueness theorem of the lattice module docstring: norm4(s1) <
+    norm4(s2) and 2 |dot4(s1, s2)| < norm4(s1), except at o = 2**(n-1),
+    where 2 |dot4| = norm4(s1) and s1 = (0, -2); so every reduced basis
+    has the same canonical form."""
+
+    def assert_unique(self, o: int, p: Params, rb: ReducedBasis):
+        a, b, c = norm4(rb.s1), 2 * dot4(rb.s1, rb.s2), norm4(rb.s2)
+        assert a < c, (p.n, o)
+        others = [
+            ReducedBasis(s1=Vec(e1 * rb.s1.x, e1 * rb.s1.y2), s2=Vec(e2 * rb.s2.x, e2 * rb.s2.y2))
+            for e1 in (1, -1)
+            for e2 in (1, -1)
+        ]
+        if o == p.two_n // 2:
+            assert abs(b) == a and rb.s1 == Vec(0, -2), (p.n, o)
+            # the tie's alternative s2 -+ s1 is reduced too
+            k = -1 if b > 0 else 1
+            alt = Vec(rb.s2.x + k * rb.s1.x, rb.s2.y2 + k * rb.s1.y2)
+            assert norm4(alt) == c and 2 * abs(dot4(rb.s1, alt)) == a
+            others.append(ReducedBasis(s1=rb.s1, s2=alt))
+        else:
+            assert abs(b) < a, (p.n, o)
+        assert all(canonical(other, p) == rb for other in others), (p.n, o)
+
+    def test_every_offset_of_small_registers(self):
+        # every o at every split m + ell = n <= 12; the reduction reads n only
+        for n in range(3, 13):
+            splits = [Params(r=3, m=m, ell=n - m) for m in range(2, n)]
+            bases = [lagrange_reduce(o, splits[0]) for o in range(splits[0].two_n)]
+            for o, rb in enumerate(bases):
+                self.assert_unique(o, splits[0], rb)
+            for p in splits[1:]:
+                assert [lagrange_reduce(o, p) for o in range(p.two_n)] == bases, (n, p.m)
+
+    @pytest.mark.parametrize("n", [248, 256])
+    def test_random_offsets_at_large_registers(self, n):
+        rng = random.Random(n)
+        p = Params(r=3, m=128, ell=n - 128)
+        N = p.two_n
+        for o in (0, 1, N // 2 - 1, N // 2, N // 2 + 1, N - 1, *(rng.randrange(N) for _ in range(300))):
+            self.assert_unique(o, p, lagrange_reduce(o, p))
 
 
 class TestSolveShortest:
@@ -158,25 +217,27 @@ class TestEnumeration:
 def reference_lagrange_reduce(j: int, params: Params) -> ReducedBasis:
     """Lagrange reduction on Vec values, recomputing every norm."""
     v1, v2 = basis_for(j, params)
-    u1, u2 = (1, 0), (0, 1)
     if norm4(v1) > norm4(v2):
-        v1, v2, u1, u2 = v2, v1, u2, u1
+        v1, v2 = v2, v1
     while True:
         t = (2 * dot4(v2, v1) + norm4(v1)) // (2 * norm4(v1))
         if t:
             v2 = Vec(v2.x - t * v1.x, v2.y2 - t * v1.y2)
-            u2 = (u2[0] - t * u1[0], u2[1] - t * u1[1])
         if norm4(v2) < norm4(v1):
-            v1, v2, u1, u2 = v2, v1, u2, u1
+            v1, v2 = v2, v1
         else:
-            return ReducedBasis(s1=v1, s2=v2, multiples=(u1, u2))
+            return ReducedBasis(s1=v1, s2=v2)
 
 
-def reference_enumerate_candidates(j: int, params: Params) -> EnumerationResult:
-    """Visit every vector of a padded range per row, deduplicating by a set."""
+def reference_enumerate_candidates(
+    j: int, params: Params, rb: ReducedBasis | None = None
+) -> EnumerationResult:
+    """Visit every vector of a padded range per row, deduplicating by a set,
+    around rb (by default the canonical reference basis of j)."""
     m, n = params.m, params.n
     budget = bounds.enumeration_budget(max(0, m - params.ell))
-    rb = reference_lagrange_reduce(j, params)
+    if rb is None:
+        rb = canonical(reference_lagrange_reduce(j, params), params)
     A = norm4(rb.s1)
     if 1 << (2 * n) >= A << (2 * m - 1):
         return EnumerationResult(candidates=[abs(rb.s1.y2)], visited=1, case=1, budget=budget)
@@ -223,10 +284,10 @@ def enumeration_outcome(enumerate_fn, j: int, params: Params, budget: int):
 
 class TestAgainstReference:
     """The closed-form rows and the bare-int reduction return exactly the
-    per-vector reference's results, exceptions included."""
+    per-vector reference's results, in canonical form, exceptions included."""
 
     def assert_same(self, j: int, params: Params, budget: int):
-        assert lagrange_reduce(j, params) == reference_lagrange_reduce(j, params)
+        assert lagrange_reduce(j, params) == canonical(reference_lagrange_reduce(j, params), params)
         outcome = enumeration_outcome(
             lambda j, p: enumerate_candidates(j, p, lagrange_reduce(j, p)), j, params, budget
         )
@@ -272,7 +333,9 @@ class TestAgainstReference:
         # m = 128, ell = 120, B = 10: every offset of 12 windows, each
         # enumerated from its reduce_window basis as the pipeline does.
         # Rows m2 and -m2 are solved as mirror images, so both signs of
-        # (s1)_2 must occur among the enumerated bases.
+        # (s1)_2 must occur among the enumerated bases: the canonical
+        # basis has (s1)_2 < 0, and each is also enumerated negated,
+        # against the reference on that same basis.
         rng = random.Random(128120)
         signs = set()
         for i in range(12):
@@ -283,8 +346,12 @@ class TestAgainstReference:
             for o, rb in zip(offsets, reduce_window(j, 10, p)):
                 got = enumerate_candidates(o, p, rb)
                 assert got == reference_enumerate_candidates(o, p), (r, o)
+                negated = ReducedBasis(s1=Vec(-rb.s1.x, -rb.s1.y2), s2=Vec(-rb.s2.x, -rb.s2.y2))
+                got_negated = enumerate_candidates(o, p, negated)
+                assert got_negated == reference_enumerate_candidates(o, p, negated), (r, o)
+                assert sorted(got_negated.candidates) == sorted(got.candidates)
                 if got.case == 2:
-                    signs.add(rb.s1.y2 > 0)
+                    signs.update(b.s1.y2 > 0 for b in (rb, negated))
         assert signs == {True, False}
 
     def test_budget_at_the_benchmark_geometry(self):
@@ -311,8 +378,8 @@ def window_reference(j: int, B: int, params: Params) -> list[ReducedBasis]:
 
 
 class TestReduceWindow:
-    """reduce_window shares certified Lagrange steps across the window and
-    returns exactly the per-offset ReducedBasis of each offset."""
+    """reduce_window starts each offset from its left neighbour's sheared
+    basis and returns exactly the per-offset ReducedBasis of each offset."""
 
     def test_validation(self):
         p = Params(r=5, m=3, ell=3)
@@ -343,14 +410,14 @@ class TestReduceWindow:
 
     @pytest.mark.parametrize("B", [1, 3, 10])
     def test_wrapping_windows(self, B):
-        # windows that reach past 0 or 2**n are split where they wrap
+        # windows that reach past 0 or 2**n
         for p in (Params(r=5, m=3, ell=4), Params(r=3, m=128, ell=128)):
             N = p.two_n
             for j in [*range(B + 1), *range(N - B - 1, N)]:
                 assert reduce_window(j, B, p) == window_reference(j, B, p), (N, j)
 
     def test_single_offset(self):
-        # B = 0 is one run of one offset
+        # B = 0 is the first offset alone
         rng = random.Random(0)
         for n in (3, 10, 93, 248, 256):
             p = Params(r=3, m=2, ell=n - 2)
@@ -370,31 +437,3 @@ class TestReduceWindow:
             else:
                 j = rng.randrange(p.two_n)
             assert reduce_window(j, 10, p) == window_reference(j, 10, p), (r, j)
-
-    def test_forced_certificate_failure(self, monkeypatch):
-        # a certificate that fails at its (k+1)-th test makes every offset
-        # finish alone from the multiples shared up to there
-        real = lattice._nonneg
-        finished_alone = []
-        real_lagrange = lattice._lagrange
-
-        def spy(*args):
-            finished_alone.append(args)
-            return real_lagrange(*args)
-
-        monkeypatch.setattr(lattice, "_lagrange", spy)
-        rng = random.Random(1)
-        r = rng.getrandbits(128) | (1 << 127) | 1
-        p = Params(r=r, m=128, ell=128)
-        j = peak(rng.randrange(r), p).j0 % p.two_n
-        want = window_reference(j, 10, p)
-        for k in (*range(9), 40, 100, 150):  # P, Q and swap tests alternate
-            calls = iter(range(k))
-
-            def failing(*args):
-                return next(calls, None) is not None and real(*args)
-
-            monkeypatch.setattr(lattice, "_nonneg", failing)
-            finished_alone.clear()
-            assert reduce_window(j, 10, p) == want, k
-            assert len(finished_alone) == 21, k

@@ -444,7 +444,7 @@ class TestGoldenReports:
         ', "trials": 300, "successes": 294, "rate": 0.98, "wilson99": [0.946549348115'
         ', 0.992678388821], "bound": 0.966927653976, "slack": 0.0309734883177, "pass": true'
         ', "failure_counts": {"tail": 0, "no_candidate": 0, "unsmooth_d": 6, "budget": 0}'
-        ', "exponent_bits": {"mean": 9698.84666667, "max": 513911}}'
+        ', "exponent_bits": {"mean": 9632.62333333, "max": 513911}}'
     )
     LATTICE_STACK = (
         '{"config": {"m": 32, "ell": 32, "B": 10, "c": 10, "delta": null'
