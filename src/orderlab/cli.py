@@ -41,6 +41,10 @@ def _run_options(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    if args.l is None and (args.m is None or args.ell is None and args.delta is None):
+        print("bound: need --m with --ell or --delta (or --l for the factoring bound)",
+              file=sys.stderr)
+        return 2
     if args.l is not None:
         val = bounds.factoring_success_bound(
             args.l, args.n_primes, args.k, args.sigma, args.B, args.c,
@@ -50,10 +54,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         val, budget = bounds.lattice_success_bound(args.m, args.delta, args.B, args.c)
         print(f"enumeration_budget: {budget}")
     else:
-        if args.m is None or args.ell is None:
-            print("bound: need --m and --ell (or --l for the factoring bound)",
-                  file=sys.stderr)
-            return 2
         val = bounds.single_run_success_bound(
             args.m, args.ell, args.B, args.c, args.elimination
         )

@@ -61,6 +61,40 @@ w_2 = 0 is a multiple of (2**n, 0), and only 0 is inside the circle,
 so for m2 != 0 the two rows visit row m2's interval exactly once
 between them.  Likewise (s1)_2 != 0, since the reduced s1 is shorter
 than (2**n, 0): every row's candidates step by (s1)_2.
+
+No enumeration visits more than its budget ceil(6 sqrt(3) 2**delta)
+with delta = max(0, m - ell), for any j, m and ell >= 1, so nothing
+checks it.  Write R = 2**(m - 1/2) for the radius of the circle,
+det = 2**(n-1) for the lattice determinant, lambda1 = |s1| and
+lambda2 = det/lambda1 for the distance of s2 from the line of s1.
+With A = norm4(s1) = 4 lambda1**2, lambda2**2 = 2**(2n)/A, so case 2
+(2**(2n) < A 2**(2m-1)) is exactly lambda2 < R.  In case 2:
+  - lambda1 = det/lambda2 > 2**(n-1) / 2**(m-1/2) = 2**(ell - 1/2),
+    so R/lambda1 < 2**delta.
+  - The reduced basis has |dot4(s1, s2)| <= norm4(s1)/2 and
+    |s2| >= lambda1, so s2 = mu s1 + s2' with |mu| <= 1/2 and
+    lambda2**2 = |s2'|**2 = |s2|**2 - mu**2 lambda1**2 >= (3/4) lambda1**2:
+    lambda2 >= (sqrt(3)/2) lambda1, and R/lambda2 < (2/sqrt(3)) 2**delta.
+  - w = m1 s1 + m2 s2 lies |m2| lambda2 from the line of s1, so a row
+    m2 meets the open disk |w| < R only if |m2| < R/lambda2: at most
+    2R/lambda2 + 1 rows.  A row's points lie lambda1 apart on a line
+    whose chord in the disk is at most 2R long: at most 2R/lambda1 + 1
+    points.
+  - So the disk holds P lattice points, with
+        P <= (2R/lambda2 + 1)(2R/lambda1 + 1)
+           = 4R**2/det + 2R/lambda1 + 2R/lambda2 + 1
+           < (4 + 2 + 4/sqrt(3)) 2**delta + 1,
+    as 4R**2/det = 2**(2m+1)/2**(n-1) = 4 * 2**delta.
+  - visited counts the points with w_2 > 0 and the origin.  The origin
+    is the only point of the disk with w_2 = 0 (above), and w -> -w
+    pairs off the rest, so visited = (P + 1)/2, and
+        visited < (3 + 2/sqrt(3)) 2**delta + 1 < 4.16 * 2**delta + 1.
+  - That is below 6 sqrt(3) 2**delta <= budget, as
+    (6 sqrt(3) - 3 - 2/sqrt(3)) 2**delta > 6.2 * 2**delta >= 6.2 > 1
+    for delta = m - ell >= 0.
+If ell > m, case 2 cannot occur: it would give lambda1 > 2**(ell - 1/2)
+>= 2**(m + 1/2) = 2R, so lambda2 >= (sqrt(3)/2) lambda1 > R.  So
+visited = 1, within the budget 11 of delta = 0.
 """
 
 from __future__ import annotations
@@ -71,10 +105,6 @@ from typing import NamedTuple
 
 from . import bounds
 from .model import Params, check_window
-
-
-class EnumerationBudgetExceeded(RuntimeError):
-    """The enumeration visited more vectors than the analysis allows."""
 
 
 class Vec(NamedTuple):
@@ -210,8 +240,10 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     enumeration.  Otherwise vectors w = m1 s1 + m2 s2 inside the circle
     are enumerated, restricted to the top semicircle (w_2 >= 0) and to
     the coordinate box |w_1| < 2**(m-1), 0 < w_2 < 2**(m-1) that any
-    true order vector satisfies.  The number of vectors visited is
-    hard-checked against the budget ceil(6 sqrt(3) 2**delta), delta = m - ell.
+    true order vector satisfies.  The number of vectors visited never
+    exceeds the budget ceil(6 sqrt(3) 2**delta), delta = m - ell (module
+    docstring), and is returned with it.  j is not read: the basis
+    carries everything, and j stays for callers that name the frequency.
 
     Each row m2 is counted, not walked.  With A = norm4(s1) and
     c = -m2 dot4(s1, s2), the Gram determinant gives
@@ -224,9 +256,7 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     repeat: two box vectors with equal w_2 differ by a multiple of
     (2**n, 0), yet their first coordinates differ by less than
     2**m <= 2**(n-1).  Rows m2 and -m2 are solved together, as the
-    mirror argument of the module docstring allows, and the budget is
-    checked once, on the total: the count only grows, so a row-by-row
-    check raises exactly when the total exceeds the budget.
+    mirror argument of the module docstring allows.
     """
     m = params.m
     budget = bounds.enumeration_budget(max(0, m - params.ell))
@@ -273,10 +303,6 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     # row 0 is its own mirror image: m1 s1 for |m1| <= k, w_2 >= 0 on one side
     k = math.isqrt(AR4 - 1) // A
     visited += k + 1
-    if visited > budget:
-        raise EnumerationBudgetExceeded(
-            f"enumeration for j={j} exceeded {budget} vectors"
-        )
     lo, hi = _clip(-k, k, y1, 0, 1, x_cap - 1)
     lo, hi = _clip(lo, hi, 2 * x1, 0, 1 - x_cap, x_cap - 1)
     candidates.extend(range(y1 * lo, y1 * (hi + 1), y1))

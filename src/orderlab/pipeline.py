@@ -15,7 +15,9 @@ Failures carry one of four reasons:
   no_candidate  no solver candidate landed in [1, 2**m);
   unsmooth_d  candidates existed but none recovered the order
               (canonically: the hidden cofactor was not smooth);
-  budget      a lattice enumeration exceeded its vector budget.
+  budget      never booked: no lattice enumeration exceeds its vector
+              budget (lattice module docstring); kept because every
+              report carries a count for each reason.
 """
 
 from __future__ import annotations
@@ -157,20 +159,17 @@ def post_process(
     group, g, j: int, params: Params, config: RunConfig, meter: recovery.ExponentMeter
 ) -> tuple[int | None, str | None]:
     """The blind classical half of a run: the order recovered from the
-    frequency j, and the reason it failed ("budget" or "no_candidate"),
-    or None.
+    frequency j, and the reason it failed ("no_candidate"), or None.
+    It never books "budget", which no enumeration can exceed.
 
     Never reads params.r; it uses only m, ell and the window half-width B.
     The strategy's candidates of the offsets j-B..j+B are kept once each,
     in first-seen order with the offsets taken centre-out, and those in
     [1, 2**m) go to the recovery.  It recovers the order r of g exactly
     when some in-range candidate c alone has recover(group, g, c, ctx)
-    == r, except that a budget overrun fails the whole window.
+    == r.
     """
-    try:
-        candidates = dict.fromkeys(STRATEGIES[config.strategy].candidates(j, params))
-    except lattice.EnumerationBudgetExceeded:
-        return None, "budget"
+    candidates = dict.fromkeys(STRATEGIES[config.strategy].candidates(j, params))
     top = 1 << config.m
     in_range = [cand for cand in candidates if 1 <= cand < top]
     if not in_range:

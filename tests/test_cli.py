@@ -34,6 +34,12 @@ class TestBound:
         assert main(["bound"]) == 2
         assert "--m" in capsys.readouterr().err
 
+    def test_delta_without_m_is_usage_error(self, capsys):
+        assert main(["bound", "--delta", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--m" in captured.err
+
     def test_invalid_values_exit_2(self, capsys):
         assert main(["bound", "--m", "8", "--ell", "8", "--B", "0"]) == 2
         assert "error:" in capsys.readouterr().err

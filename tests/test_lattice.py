@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from orderlab import bounds
 from orderlab.bounds import enumeration_budget
 from orderlab.lattice import (
-    EnumerationBudgetExceeded,
     EnumerationResult,
     ReducedBasis,
     Vec,
@@ -259,8 +258,6 @@ def reference_enumerate_candidates(
             if w.y2 < 0 or norm4(w) >= R4:
                 continue
             visited += 1
-            if visited > budget:
-                raise EnumerationBudgetExceeded(f"enumeration for j={j} exceeded {budget} vectors")
             if w.y2 == 0 or w.y2 >= x_cap or 2 * abs(w.x) >= x_cap:
                 continue
             if w.y2 not in seen:
@@ -269,56 +266,26 @@ def reference_enumerate_candidates(
     return EnumerationResult(candidates=candidates, visited=visited, case=2, budget=budget)
 
 
-def enumeration_outcome(enumerate_fn, j: int, params: Params, budget: int):
-    """The result of enumerate_fn, or its budget message, under the given
-    vector budget in place of that of m - ell.  The small geometries here
-    stay within the budget of their own m - ell, so only a smaller budget
-    runs the budget path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "enumeration_budget", lambda _: budget)
-        try:
-            return enumerate_fn(j, params)
-        except EnumerationBudgetExceeded as exc:
-            return ("budget", str(exc))
-
-
 class TestAgainstReference:
     """The closed-form rows and the bare-int reduction return exactly the
-    per-vector reference's results, in canonical form, exceptions included."""
+    per-vector reference's results, in canonical form, visited included."""
 
-    def assert_same(self, j: int, params: Params, budget: int):
+    def assert_same(self, j: int, params: Params) -> EnumerationResult:
         assert lagrange_reduce(j, params) == canonical(reference_lagrange_reduce(j, params), params)
-        outcome = enumeration_outcome(
-            lambda j, p: enumerate_candidates(j, p, lagrange_reduce(j, p)), j, params, budget
-        )
-        assert outcome == enumeration_outcome(reference_enumerate_candidates, j, params, budget)
-        return outcome
+        res = enumerate_candidates(j, params, lagrange_reduce(j, params))
+        assert res == reference_enumerate_candidates(j, params)
+        return res
 
-    @given(st.integers(2, 300), st.integers(0, 3), st.integers(0, 6), st.data())
+    @given(st.integers(2, 300), st.integers(0, 3), st.data())
     @settings(max_examples=400, deadline=None)
-    def test_small_geometries(self, r, extra_bits, delta, data):
-        # delta is drawn apart from m - ell, so delta = 0 (a budget of 11)
-        # against a short register runs the budget path
+    def test_small_geometries(self, r, extra_bits, data):
         m = r.bit_length() + extra_bits
         p = Params(r=r, m=m, ell=data.draw(st.integers(1, m)))
-        self.assert_same(data.draw(st.integers(0, p.two_n - 1)), p, enumeration_budget(delta))
+        self.assert_same(data.draw(st.integers(0, p.two_n - 1)), p)
 
     def test_every_frequency_of_one_geometry(self):
         p = Params(r=3, m=7, ell=3)
-        outcomes = [
-            self.assert_same(j, p, enumeration_budget(delta)) for delta in (0, 4) for j in range(p.two_n)
-        ]
-        assert {o[0] if isinstance(o, tuple) else o.case for o in outcomes} == {"budget", 1, 2}
-
-    def test_budget_boundary(self):
-        # a budget of exactly the vectors visited passes; one less raises
-        p = Params(r=3, m=7, ell=3)
-        j, visited = max(
-            ((j, enumerate_candidates(j, p, lagrange_reduce(j, p)).visited) for j in range(p.two_n)),
-            key=lambda jv: jv[1],
-        )
-        assert isinstance(self.assert_same(j, p, visited), EnumerationResult)
-        assert self.assert_same(j, p, visited - 1)[0] == "budget"
+        assert {self.assert_same(j, p).case for j in range(p.two_n)} == {1, 2}
 
     def test_near_peaks_at_128_bits(self):
         rnd = random.Random(20221)
@@ -327,7 +294,7 @@ class TestAgainstReference:
             p = Params(r=r, m=128, ell=120)
             j0 = peak(rnd.randrange(r), p).j0
             for offset in range(-10, 11):  # 210 frequencies in all
-                self.assert_same((j0 + offset) % p.two_n, p, enumeration_budget(8))
+                self.assert_same((j0 + offset) % p.two_n, p)
 
     def test_every_offset_of_benchmark_windows(self):
         # m = 128, ell = 120, B = 10: every offset of 12 windows, each
@@ -354,22 +321,52 @@ class TestAgainstReference:
                     signs.update(b.s1.y2 > 0 for b in (rb, negated))
         assert signs == {True, False}
 
-    def test_budget_at_the_benchmark_geometry(self):
-        # the budget is checked once, on the total, and still raises
-        # exactly when a row-by-row count would
-        rng = random.Random(8)
-        r = rng.getrandbits(128) | (1 << 127) | 1
-        p = Params(r=r, m=128, ell=120)
-        j0 = peak(rng.randrange(r), p).j0
-        tested = 0
-        for offset in range(-10, 11):
-            j = (j0 + offset) % p.two_n
-            res = enumerate_candidates(j, p, lagrange_reduce(j, p))
-            if res.case == 2:
-                assert isinstance(self.assert_same(j, p, res.visited), EnumerationResult)
-                assert self.assert_same(j, p, res.visited - 1)[0] == "budget"
-                tested += 1
-        assert tested
+
+class TestBudgetTheorem:
+    """The budget theorem of the lattice module docstring, step by step:
+    in case 2, norm4(s1) > 2**(2 ell + 1) (lambda1 > 2**(ell - 1/2)) and
+    visited < (3 + 2/sqrt(3)) 2**delta + 1, below the budget; if ell > m,
+    always case 1."""
+
+    @staticmethod
+    def assert_within(j: int, p: Params, rb: ReducedBasis) -> EnumerationResult:
+        res = enumerate_candidates(j, p, rb)
+        delta = p.m - p.ell
+        assert res.visited <= res.budget == enumeration_budget(max(0, delta)), (p, j)
+        if delta < 0:
+            assert (res.case, res.visited) == (1, 1), (p, j)
+            return res
+        if res.case == 2:
+            assert norm4(rb.s1) > 1 << (2 * p.ell + 1), (p, j)
+        excess = res.visited - 1 - 3 * (1 << delta)  # below (2/sqrt(3)) 2**delta
+        assert excess < 0 or 3 * excess * excess < 4 << (2 * delta), (p, j, res.visited)
+        return res
+
+    def test_every_offset_of_small_registers(self):
+        # every j at every split m + ell = n <= 12 with ell >= 1 (and so
+        # m >= 2): 73,736 offsets; the reduction reads n only
+        cases, offsets = set(), 0
+        for n in range(3, 13):
+            bases = [lagrange_reduce(o, Params(r=3, m=2, ell=n - 2)) for o in range(1 << n)]
+            for m in range(2, n):
+                p = Params(r=3, m=m, ell=n - m)
+                cases.update(self.assert_within(o, p, rb).case for o, rb in enumerate(bases))
+                offsets += len(bases)
+        assert offsets == 73_736
+        assert cases == {1, 2}
+
+    @given(st.integers(-4, 10), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_offsets_up_to_256_bits(self, delta, data):
+        m = data.draw(st.integers(max(2, delta + 1), (256 + delta) // 2))
+        p = Params(r=3, m=m, ell=m - delta)
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, p.two_n - 1))
+        else:  # near a peak of a random order below 2**m
+            q = Params(r=data.draw(st.integers(2, (1 << m) - 1)), m=m, ell=p.ell)
+            z = data.draw(st.integers(0, q.r - 1))
+            j = (peak(z, q).j0 + data.draw(st.integers(-10, 10))) % p.two_n
+        self.assert_within(j, p, lagrange_reduce(j, p))
 
 
 def window_reference(j: int, B: int, params: Params) -> list[ReducedBasis]:

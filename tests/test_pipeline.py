@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 from orderlab import cf, cli, factorint, lattice, pipeline
 from orderlab.bounds import carmichael_value, single_run_success_bound
 from orderlab.factorint import factorize
-from orderlab.lattice import EnumerationBudgetExceeded
 from orderlab.model import Params, Rng, SimulatedGroup, peak
 from orderlab.pipeline import (
     FAILURE_REASONS,
@@ -118,7 +117,6 @@ class TestRunOnce:
         monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(
             reduce_window=counting_reduce,
             enumerate_candidates=counting_enumerate,
-            EnumerationBudgetExceeded=lattice.EnumerationBudgetExceeded,
         ))
         params = Params(r=210, m=8, ell=6, B=3)
         cfg = RunConfig(m=8, ell=6, B=3, c=10.0, strategy="enumerate", delta=2)
@@ -147,9 +145,7 @@ class TestRunOnce:
             calls.append((j, B))
             return lattice.reduce_window(j, B, params)
 
-        monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(
-            reduce_window=counting, EnumerationBudgetExceeded=lattice.EnumerationBudgetExceeded,
-        ))
+        monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(reduce_window=counting))
         params = Params(r=210, m=8, ell=8, B=3)
         cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy="lattice")
         j = peak_frequency(5, params)
@@ -192,19 +188,6 @@ class TestRunOnce:
         assert not out.success
         assert out.recovered is None
         assert (None, None, out.exponent_bits) == blind(group, out.j, params, cfg)
-
-    def test_budget_outcome(self, monkeypatch):
-        import orderlab.pipeline as pipeline_mod
-
-        def explode(j, params, rb):
-            raise EnumerationBudgetExceeded("forced")
-
-        monkeypatch.setattr(pipeline_mod.lattice, "enumerate_candidates", explode)
-        cfg = RunConfig(m=6, ell=4, B=1, c=10.0, strategy="enumerate", delta=2)
-        group = SimulatedGroup(20)
-        out = run_once(group, group.generator(), 20, cfg, Rng(1))
-        assert not out.success
-        assert out.reason == "budget"
 
     def test_smoothness_context_built_once_per_c_m(self, monkeypatch):
         import orderlab.pipeline as pipeline_mod
@@ -263,7 +246,7 @@ class TestPostProcess:
 
     def test_success_is_per_candidate(self):
         # post_process finds r at j exactly when one in-range window
-        # candidate recovers r on its own, save a budget overrun
+        # candidate recovers r on its own
         outcomes = set()
         for m, ell, orders in POST_GEOMETRIES:
             ctx = SmoothnessContext.build(1.0, m)
@@ -275,11 +258,8 @@ class TestPostProcess:
                     recover = _RECOVERY[cfg.recovery]
                     for j in range(params.two_n):
                         order, reason, _ = blind(group, j, params, cfg)
-                        try:
-                            candidates = list(STRATEGIES[cfg.strategy].candidates(j, params))
-                        except EnumerationBudgetExceeded:
-                            assert (order, reason) == (None, "budget")
-                            continue
+                        assert reason in (None, "no_candidate")
+                        candidates = STRATEGIES[cfg.strategy].candidates(j, params)
                         hit = any(
                             recover(group, g, cand, ctx) == r
                             for cand in candidates if 1 <= cand < 1 << m
