@@ -95,16 +95,63 @@ With A = norm4(s1) = 4 lambda1**2, lambda2**2 = 2**(2n)/A, so case 2
 If ell > m, case 2 cannot occur: it would give lambda1 > 2**(ell - 1/2)
 >= 2**(m + 1/2) = 2R, so lambda2 >= (sqrt(3)/2) lambda1 > R.  So
 visited = 1, within the budget 11 of delta = 0.
+
+A window's candidates are taken in one pass (window_candidates), from a
+partition of its lattice points into triangles.  Name a lattice point
+by its (a, b) as above, and write T = 2**m.  At offset j + k the point
+is (x_k, y2) with x_k = x + k y2, x = x_0: the shear.
+  - Box inside the circle.  A case-2 offset k gives the y2 of its points
+    in the circle and in the box |x_k| < 2**(m-1), 0 < y2 < T, called
+    strip k.  Every box point has 4 x_k**2 + y2**2 < T**2 + T**2
+    = 2**(2m+1), so it is inside the circle: the candidates of offset k
+    are the y2 of the points of strip k.
+  - Cones.  A point with y2 > 0 lies in exactly one cone
+    c = round(-x/y2), ties toward +infinity: -y2/2 <= x_c < y2/2, as
+    x_c steps by y2 with c.  No point with 0 < y2 < 2**n is a tie: at
+    offset o = j + c, x_c = +-y2/2 and x_c = y2 o mod 2**n give
+    2**n | (1 -+ 2 o) x_c, so 2**n | x_c and y2 = 2 |x_c| >= 2**(n+1).
+    So the rule never binds.  In offset c's coordinates cone c is the
+    triangle 0 < y2 < T, -y2 <= 2 x_c < y2, with vertices (0, 0) and
+    (+-2**(m-1), T), and as |x_c| <= y2/2 < 2**(m-1) it lies in strip c.
+    It holds each y2 at most once: two points with the same y2 differ
+    in x by a nonzero multiple of 2**n, and the cone is only y2 < 2**n
+    wide at height y2.
+  - A run of strips.  At height y2, strip k is -2**(m-1) - k y2 < x
+    < 2**(m-1) - k y2, so strip k + 1 is strip k moved by y2 < T, and
+    neighbouring strips overlap.  For offsets k0..k1 the union of the
+    strips is -2**(m-1) - k1 y2 < x < 2**(m-1) - k0 y2.  Cones k0..k1
+    cover -y2/2 - k1 y2 <= x < y2/2 - k0 y2 of it, and leave two
+    slivers: the points of strip k1 with -2**(m-1) < x_k1 < -y2/2 (cone
+    above k1) and those of strip k0 with y2/2 <= x_k0 < 2**(m-1) (cone
+    below k0), the triangles with vertices (0, 0), (-+2**(m-1), 0) and
+    (-+2**(m-1), T) in offset k1's and k0's coordinates.  So the y2 of
+    cones k0..k1 and the two slivers are exactly the candidates of the
+    offsets k0..k1.  A cone holds about 2**(delta-1) points and a sliver
+    about 2**(delta-2), as the lattice has determinant 2**n in (x, y2).
+  - Case 1.  A case-1 offset gives only 2 |(s1)_2|, so the window splits
+    into runs of case-2 offsets, each its cones and two slivers.
+  - Repeats.  The cones and slivers of one run are disjoint, and the
+    run's union is 2**m + (k1 - k0) y2 < (2B + 1) 2**m wide at height
+    y2, so when 2B + 1 <= 2**ell it holds each y2 once.  Candidates
+    repeat only across runs (a sliver reaches into the cones past a
+    case-1 offset, and 2 |(s1)_2| may be anyone's) and when
+    2B + 1 > 2**ell; post_process drops the repeats.
+The order is for the filter, which is cheaper the earlier it accepts.
+The true vector (alpha0(z)/d, r~/2) has |alpha0(z)/d| <= r~/2, so it
+lies in the cone of its own offset.  The cones come centre-out, where
+the measurement mostly lands, each in descending y2, which puts d = 1
+first; the slivers come last.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import bounds
-from .model import Params, check_window
+from .model import Params, centre_out, check_window
 
 
 class Vec(NamedTuple):
@@ -244,6 +291,8 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     exceeds the budget ceil(6 sqrt(3) 2**delta), delta = m - ell (module
     docstring), and is returned with it.  j is not read: the basis
     carries everything, and j stays for callers that name the frequency.
+    The pipeline takes whole windows through window_candidates; this
+    per-offset enumeration is criterion 07's subject and its oracle.
 
     Each row m2 is counted, not walked.  With A = norm4(s1) and
     c = -m2 dot4(s1, s2), the Gram determinant gives
@@ -311,3 +360,84 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     return EnumerationResult(
         candidates=candidates, visited=visited, case=2, budget=budget
     )
+
+
+# The three triangles of the window (module docstring), in the coordinates
+# (x, y2) of the offset that enumerates them, T = 2**m.  Each is three
+# constraints alpha x + beta y2 >= g0 + gT T and its vertices other than the
+# origin, in units of 2**(m-1).
+_CONE = (((2, 1, 0, 0), (-2, 1, 1, 0), (0, -1, 1, -1)), ((-1, 2), (1, 2)))
+_LEFT_SLIVER = (((2, 0, 1, -1), (-2, -1, 1, 0), (0, 1, 1, 0)), ((-1, 0), (-1, 2)))
+_RIGHT_SLIVER = (((-2, 0, 1, -1), (2, -1, 0, 0), (0, 1, 1, 0)), ((1, 0), (1, 2)))
+
+
+def _triangle(rb: ReducedBasis, region, params: Params) -> list[int]:
+    """The second coordinates y2 of the points of rb's lattice in one
+    triangle, in descending order.
+
+    A point (X, Y) = m1 s1 + m2 s2 has m2 = (x1 Y - y1 X) / D, with
+    D = x1 y2 - y1 x2 = +-2**n, so m2's extremes over the triangle are
+    at its vertices, and 2**(m-1)/|D| = 2**-(ell+1).  Each constraint
+    a m1 + e m2 >= g bounds m1 in every row m2, from below if a > 0 and
+    from above if a < 0.  The triangle is bounded, so s1 and -s1 each
+    leave it through some constraint: every row is bounded on both
+    sides.  A constraint with a = 0 (a sliver's wall x = +-2**(m-1) when
+    s1 = (0, y)) bounds the rows instead, as then e != 0.
+    """
+    constraints, vertices = region
+    (x1, y1), (x2, y2) = rb.s1, rb.s2
+    shift = params.ell + 1
+    sign = 1 if x1 * y2 > y1 * x2 else -1
+    ends = [0] + [sign * (x1 * Y - y1 * X) for X, Y in vertices]
+    bottom, top = -(-min(ends) >> shift), max(ends) >> shift
+    lows, highs = [], []
+    for alpha, beta, g0, gT in constraints:
+        a, e, g = alpha * x1 + beta * y1, alpha * x2 + beta * y2, g0 + (gT << params.m)
+        if a > 0:
+            lows.append((a, e, g))  # m1 >= ceil((g - e m2) / a)
+        elif a < 0:
+            highs.append((-a, e, g))  # m1 <= floor((e m2 - g) / -a)
+        elif e > 0:
+            bottom = max(bottom, -(-g // e))
+        else:
+            top = min(top, -g // -e)
+    # one or two bounds on each side; a lone one is taken twice
+    (a1, e1, g1), (a2, e2, g2) = lows[0], lows[-1]
+    (a3, e3, g3), (a4, e4, g4) = highs[0], highs[-1]
+    out: list[int] = []
+    for m2 in range(bottom, top + 1):
+        lo = max(-((e1 * m2 - g1) // a1), -((e2 * m2 - g2) // a2))
+        hi = min((e3 * m2 - g3) // a3, (e4 * m2 - g4) // a4)
+        if lo <= hi:
+            start = y1 * lo + y2 * m2
+            out.extend(itertools.accumulate(itertools.repeat(y1, hi - lo), initial=start))
+    out.sort(reverse=True)
+    return out
+
+
+def window_candidates(params: Params, window: list[ReducedBasis]) -> list[int]:
+    """The order candidates of a window j-B..j+B, given its reduced bases
+    in offset order (reduce_window): the union of enumerate_candidates over
+    its offsets, as cones and slivers (module docstring).
+
+    The cones come centre-out, k = 0, +1, -1, ..., +B, -B, each in
+    descending order, a case-1 offset giving 2 |(s1)_2| at its turn; then
+    the slivers of each run of case-2 offsets, in descending order.  A
+    candidate repeats only across runs, or when 2B + 1 > 2**ell.
+    """
+    m, n = params.m, params.n
+    case2 = [1 << (2 * n) < norm4(rb.s1) << (2 * m - 1) for rb in window]
+    out: list[int] = []
+    for rb, is2 in centre_out(list(zip(window, case2))):
+        if is2:
+            out += _triangle(rb, _CONE, params)
+        else:
+            out.append(abs(rb.s1.y2))
+    for is2, run in itertools.groupby(zip(window, case2), lambda pair: pair[1]):
+        if is2:
+            run = list(run)
+            slivers = (_triangle(run[-1][0], _LEFT_SLIVER, params)
+                       + _triangle(run[0][0], _RIGHT_SLIVER, params))
+            slivers.sort(reverse=True)
+            out += slivers
+    return out

@@ -139,6 +139,21 @@ def check_window(j: int, B: int, N: int) -> None:
         raise ValueError(f"window half-width B must be >= 0, got {B}")
 
 
+def centre_out(per_offset: list) -> list:
+    """A window's per-offset list, given for k = -B..B, reordered
+    k = 0, +1, -1, ..., +B, -B.
+
+    The measurement lands mostly at k = 0, so the filter meets an
+    accepted candidate early and tests the rest through the accepted
+    candidates' gcd.  The order depends on B alone, so it stays blind.
+    """
+    B = len(per_offset) // 2
+    out = per_offset[:]
+    out[::2] = per_offset[B::-1]
+    out[1::2] = per_offset[B + 1:]
+    return out
+
+
 def window_runs(j: int, B: int, N: int) -> list[tuple[int, int]]:
     """The window (j + k) mod N, k = -B..B, as runs (lo, w) of consecutive
     offsets lo..lo + w, all in [0, N), in offset order.

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import bounds, cf, lattice, recovery
 from .distribution import Sampler
 from .factorint import factorize, is_probable_prime, perfect_power
-from .model import ModNGroup, Params, Rng, SimulatedGroup
+from .model import ModNGroup, Params, Rng, SimulatedGroup, centre_out
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -42,56 +41,34 @@ FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 class Strategy(NamedTuple):
     """A solver strategy: a function from the window j-B..j+B to its order
-    candidates, one flat iterable of ints with the offsets k taken
-    centre-out, 0, +1, -1, ..., +B, -B; and the elimination mode of the
-    analytic bound covering it."""
+    candidates, one flat iterable of ints taken centre-out,
+    k = 0, +1, -1, ..., +B, -B (by offset for cf and lattice, by the
+    window's cones for enumerate: lattice.window_candidates); and the
+    elimination mode of the analytic bound covering it."""
 
     candidates: Callable[[int, Params], Iterable[int]]
     elimination: str
 
 
-def _centre_out(per_offset: list) -> list:
-    """A window's per-offset list, given for k = -B..B, reordered
-    k = 0, +1, -1, ..., +B, -B.
-
-    The measurement lands mostly at k = 0, so the filter meets an
-    accepted candidate early and tests the rest through the accepted
-    candidates' gcd.  The order depends on B alone, so it stays blind.
-    """
-    B = len(per_offset) // 2
-    out = per_offset[:]
-    out[::2] = per_offset[B::-1]
-    out[1::2] = per_offset[B + 1:]
-    return out
-
-
-def _window(j: int, params: Params) -> list[int]:
-    """The offsets (j + k) mod 2**n of the window, k = -B..B."""
-    return [(j + k) % params.two_n for k in range(-params.B, params.B + 1)]
-
-
 # Each entry looks its solver up through this module's `cf` and `lattice`
 # names at call time, so a wrapper installed on those names sees every call.
 # The window solvers return their offsets in order -B..B, which their shared
-# work needs (cf's shared Euclid steps, lattice's neighbour starts); each
-# entry reorders them centre-out.
+# work needs (cf's shared Euclid steps, lattice's neighbour starts); the cf
+# and lattice entries reorder them centre-out, and window_candidates takes
+# its cones centre-out.
 STRATEGIES = {
     # the last continued-fraction convergent below 2**(n/2) of each offset
-    "cf": Strategy(lambda j, p: _centre_out(cf.solve_cf_window(j, p.B, p)), "sqrt"),
+    "cf": Strategy(lambda j, p: centre_out(cf.solve_cf_window(j, p.B, p)), "sqrt"),
     # the shortest vector of each offset's reduced frequency lattice
     # (lattice.solve_shortest), the window reduced once
     "lattice": Strategy(
-        lambda j, p: [abs(rb.s1.y2) for rb in _centre_out(lattice.reduce_window(j, p.B, p))],
+        lambda j, p: [abs(rb.s1.y2) for rb in centre_out(lattice.reduce_window(j, p.B, p))],
         "sqrt",
     ),
-    # every short lattice vector, with the reduced register ell = m - delta; the
-    # window is reduced once and each offset enumerated from its own basis, one
-    # offset's list live at a time
+    # every short lattice vector, with the reduced register ell = m - delta: the
+    # window is reduced once and its candidates taken cone by cone, centre-out
     "enumerate": Strategy(
-        lambda j, p: itertools.chain.from_iterable(
-            lattice.enumerate_candidates(o, p, rb).candidates
-            for o, rb in _centre_out(list(zip(_window(j, p), lattice.reduce_window(j, p.B, p))))
-        ),
+        lambda j, p: lattice.window_candidates(p, lattice.reduce_window(j, p.B, p)),
         "pow2ell",
     ),
 }
@@ -163,11 +140,13 @@ def post_process(
     It never books "budget", which no enumeration can exceed.
 
     Never reads params.r; it uses only m, ell and the window half-width B.
-    The strategy's candidates of the offsets j-B..j+B are kept once each,
-    in first-seen order with the offsets taken centre-out, and those in
-    [1, 2**m) go to the recovery.  It recovers the order r of g exactly
-    when some in-range candidate c alone has recover(group, g, c, ctx)
-    == r.
+    The strategy's candidates of the window j-B..j+B are kept once each,
+    in first-seen order, and those in [1, 2**m) go to the recovery.
+    The cf and lattice strategies give one candidate per offset, which
+    neighbouring offsets often share; enumerate repeats one only where a
+    case-1 offset splits the window or when 2B + 1 > 2**ell.  It
+    recovers the order r of g exactly when some in-range candidate c
+    alone has recover(group, g, c, ctx) == r.
     """
     candidates = dict.fromkeys(STRATEGIES[config.strategy].candidates(j, params))
     top = 1 << config.m

@@ -1,5 +1,6 @@
 """Lattice reduction and short-vector enumeration."""
 
+import itertools
 import math
 import random
 
@@ -19,6 +20,7 @@ from orderlab.lattice import (
     norm4,
     reduce_window,
     solve_shortest,
+    window_candidates,
 )
 from orderlab.model import Params, peak
 
@@ -434,3 +436,65 @@ class TestReduceWindow:
             else:
                 j = rng.randrange(p.two_n)
             assert reduce_window(j, 10, p) == window_reference(j, 10, p), (r, j)
+
+
+class TestWindowCandidates:
+    """window_candidates, the window's cones and slivers, gives the union of
+    enumerate_candidates over the window's offsets, and no candidate twice
+    when every offset is case 2 and 2B + 1 < 2**ell."""
+
+    @staticmethod
+    def assert_union(j: int, B: int, p: Params) -> list[ReducedBasis]:
+        window = reduce_window(j, B, p)
+        got = window_candidates(p, window)
+        want, cases = set(), []
+        for k in range(-B, B + 1):
+            o = (j + k) % p.two_n
+            res = enumerate_candidates(o, p, lagrange_reduce(o, p))
+            want.update(res.candidates)
+            cases.append(res.case)
+        assert set(got) == want, (p, B, j)
+        if set(cases) == {2} and 2 * B + 1 < 1 << p.ell:
+            assert len(got) == len(want), (p, B, j)
+        # descending within each cone, case-1 candidate and run of slivers
+        runs = sum(case == 2 for case, _ in itertools.groupby(cases))
+        assert sum(a < b for a, b in zip(got, got[1:])) <= 2 * B + runs, (p, B, j)
+        return window
+
+    @given(st.integers(3, 14), st.integers(0, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_small_geometries(self, n, B, data):
+        # every split n = m + ell with ell >= 1, ell > m included; B up to 6
+        # makes some windows longer than 2**ell, or than the register
+        m = data.draw(st.integers(2, n - 1))
+        p = Params(r=3, m=m, ell=n - m)
+        edge = data.draw(st.integers(0, B + 1))
+        j = data.draw(st.sampled_from([edge, p.two_n - 1 - edge, data.draw(
+            st.integers(0, p.two_n - 1))]))
+        self.assert_union(j, B, p)
+
+    def test_every_window_of_small_registers(self):
+        # every j at every split of n = 5..8, for B = 0 (one cone and both
+        # slivers of one offset) and B = 2; the windows include case-1
+        # offsets, windows wrapping past 0 and 2**n, and case-2 offsets with
+        # s1 = (0, y), whose slivers' walls x = +-2**(m-1) run along s1 (a
+        # bound with m1 coefficient 0)
+        seen = set()
+        for n in range(5, 9):
+            for m in range(2, n):
+                p = Params(r=3, m=m, ell=n - m)
+                for B in (0, 2):
+                    for j in range(p.two_n):
+                        for rb in self.assert_union(j, B, p):
+                            case2 = 1 << (2 * n) < norm4(rb.s1) << (2 * m - 1)
+                            seen.add((case2, case2 and rb.s1.x == 0))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_peak_windows_at_128_bits(self):
+        # 20 windows of the benchmark geometry, m = 128, ell = 120, B = 10,
+        # each centred on a peak of a random 128-bit order
+        rng = random.Random(27)
+        for _ in range(20):
+            r = rng.getrandbits(128) | (1 << 127) | 1
+            p = Params(r=r, m=128, ell=120, B=10)
+            self.assert_union(peak(rng.randrange(r), p).j0 % p.two_n, 10, p)

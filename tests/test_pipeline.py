@@ -103,28 +103,35 @@ class TestRunOnce:
 
     def test_window_reduced_once_per_trial(self, monkeypatch):
         # the enumerate entry reduces the window through pipeline.lattice
-        # once, then enumerates each offset from its own reduced basis
-        reduced, enumerated = [], []
+        # once and takes its candidates from that one reduction, never
+        # enumerating an offset on its own
+        reduced, taken, enumerated = [], [], []
 
         def counting_reduce(j, B, params):
-            reduced.append((j, B))
-            return lattice.reduce_window(j, B, params)
+            window = lattice.reduce_window(j, B, params)
+            reduced.append(((j, B), window))
+            return window
+
+        def counting_candidates(params, window):
+            taken.append(window)
+            return lattice.window_candidates(params, window)
 
         def counting_enumerate(j, params, rb):
-            enumerated.append((j, rb))
+            enumerated.append(j)
             return lattice.enumerate_candidates(j, params, rb)
 
         monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(
             reduce_window=counting_reduce,
+            window_candidates=counting_candidates,
             enumerate_candidates=counting_enumerate,
         ))
         params = Params(r=210, m=8, ell=6, B=3)
         cfg = RunConfig(m=8, ell=6, B=3, c=10.0, strategy="enumerate", delta=2)
         j = peak_frequency(5, params)
         blind(SimulatedGroup(210), j, params, cfg)
-        offsets = [(j + k) % params.two_n for k in centre_out(3)]
-        assert reduced == [(j, 3)]
-        assert enumerated == [(o, lattice.lagrange_reduce(o, params)) for o in offsets]
+        assert [call for call, _ in reduced] == [(j, 3)]
+        assert len(taken) == 1 and taken[0] is reduced[0][1]
+        assert enumerated == []
 
     def test_cf_entry_permutes_the_window_centre_out(self):
         # solve_cf_window lists the offsets -B..B; the entry yields the same
@@ -424,7 +431,7 @@ class TestGoldenReports:
         ', "trials": 300, "successes": 294, "rate": 0.98, "wilson99": [0.946549348115'
         ', 0.992678388821], "bound": 0.966927653976, "slack": 0.0309734883177, "pass": true'
         ', "failure_counts": {"tail": 0, "no_candidate": 0, "unsmooth_d": 6, "budget": 0}'
-        ', "exponent_bits": {"mean": 9632.62333333, "max": 513911}}'
+        ', "exponent_bits": {"mean": 9606.98333333, "max": 513911}}'
     )
     LATTICE_STACK = (
         '{"config": {"m": 32, "ell": 32, "B": 10, "c": 10, "delta": null'
