@@ -88,6 +88,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise ValueError(f"need a trial count >= 0, got {args.trials}")
     params = Params(r=args.r, m=args.m, ell=args.ell)
     sampler = Sampler(params, t_max=args.tmax)
     rng = Rng(args.seed)

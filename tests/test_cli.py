@@ -136,6 +136,16 @@ class TestSample:
     def test_invalid_order_exits_2(self, capsys):
         assert main(["sample", "--r", "1", "--m", "4", "--ell", "4"]) == 2
 
+    def test_negative_trials_exits_2(self, capsys):
+        assert main(["sample", "--r", "13", "--m", "4", "--ell", "4", "--trials", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: need a trial count >= 0, got -1" in captured.err
+
+    def test_zero_trials_prints_the_header(self, capsys):
+        assert main(["sample", "--r", "13", "--m", "4", "--ell", "4", "--trials", "0"]) == 0
+        assert capsys.readouterr().out == "z,t,j,tail\n"
+
 
 class TestFactor:
     def test_success(self, capsys):

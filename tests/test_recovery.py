@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderlab.factorint import factorize
-from orderlab.model import ModNGroup, Rng, SimulatedGroup
+from orderlab.lattice import reduce_window, window_candidates
+from orderlab.model import ModNGroup, Params, Rng, SimulatedGroup, peak
 from orderlab.pipeline import true_order
 from orderlab.recovery import (
+    _BLOCK,
     ExponentMeter,
     SmoothnessContext,
+    _split_smooth,
     exponent_length,
     filter_candidates,
     filter_exponent_budget,
@@ -617,6 +620,135 @@ class TestMeterOracle:
             random.Random(18),
             elements=(1, 0),
         )
+
+
+class TestBlockCertificate:
+    """filter_candidates' second phase, which reduces a block of candidates
+    through the context's part Gs of G once the product of the block is
+    prime to the rest Gb, pinned to the per-candidate reference at m = 128."""
+
+    @staticmethod
+    def order(ctx: SmoothnessContext, beyond: int, with_rb: bool, rnd: random.Random) -> int:
+        """An order r = r's * r'b * d of 100 to 128 bits, d | smooth_exponent,
+        so that x = g**smooth has order r' = r's * r'b: r's is made of
+        `beyond` context primes beyond their caps, and r'b > 1, prime to
+        the context, exactly when with_rb."""
+        qs = rnd.sample(ctx.primes, 30)
+        r = math.prod(q ** (ctx.exponents[q] + rnd.randint(1, 2)) for q in qs[:beyond])
+        if with_rb:
+            r_b = rnd.getrandbits(rnd.randint(30, 90)) | 1
+            while (common := math.gcd(r_b, ctx.smooth_exponent)) > 1:
+                r_b //= common
+            r *= r_b
+        for q in qs[beyond:]:
+            if r.bit_length() >= 100 or (r * q ** ctx.exponents[q]).bit_length() > 128:
+                break
+            r *= q ** ctx.exponents[q]
+        return r
+
+    # (primes beyond their caps, r'b > 1, k0, kinds left out, kinds kept)
+    # for the cases each list shape is built to reach; "free" draws them all
+    SHAPES = {
+        # a prime k0 above cm divides G and some non-survivors: their
+        # blocks fail the certificate and reduce through G
+        "failed certificate": (None, None, "above cm", (), ("k0 multiple",)),
+        # r' | Gs and Gb = k0: a survivor is accepted inside a certified block
+        "certified acceptance": (st.integers(1, 3), False, "above cm", ("k0 multiple",), ("survivor",)),
+        # G made of context primes alone
+        "Gb = 1": (st.integers(1, 3), False, None, (), ()),
+        # an accepted survivor drops the smooth k0 from G, and so from Gs,
+        # before later blocks meet multiples of k0's prime
+        "shrinking Gs": (None, None, "smooth", (), ("survivor", "context primes")),
+        "free": (None, None, None, (), ()),
+    }
+
+    @given(
+        st.sampled_from([10.0, 25.0]),
+        st.sampled_from(sorted(SHAPES)),
+        st.integers(0, 3),
+        st.integers(-1, 1),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_at_128_bits(self, c, shape, blocks, extra, data):
+        beyond, with_rb, k0, left_out, kept = self.SHAPES[shape]
+        ctx = SmoothnessContext.build(c, 128)
+        rnd = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        beyond = data.draw(st.integers(0, 3) if beyond is None else beyond, label="primes beyond their caps")
+        with_rb = data.draw(st.booleans(), label="r'b > 1") if with_rb is None else with_rb
+        group = SimulatedGroup(self.order(ctx, beyond, with_rb, rnd))
+        r_prime = group.r // math.gcd(group.r, ctx.smooth_exponent)
+        top = 1 << ctx.m
+        # the first survivor is r' * k0: a prime k0 above cm joins Gb, a
+        # smooth one joins Gs
+        if k0 is None:
+            k0 = data.draw(st.sampled_from(["one", "smooth"] + ["above cm"] * (shape == "free")), label="k0")
+        k0 = {
+            "one": 1,
+            "smooth": rnd.choice(ctx.primes[:6]) ** rnd.randint(1, 3),
+            "above cm": rnd.choice([q for q in primes_up_to(1 << 14) if q > c * 128]),
+        }[k0]
+        if r_prime * k0 >= top:
+            k0 = 1
+
+        def multiple(k):
+            return k * rnd.randrange(1, (top - 1) // k + 1)
+
+        draws = {
+            "survivor": lambda: multiple(r_prime),
+            "k0 multiple": lambda: multiple(k0),
+            "context primes": lambda: multiple(rnd.choice(ctx.primes[:6]) ** rnd.randint(1, 4)),
+            "out of range": lambda: rnd.choice((0, -1, -r_prime, top, top + r_prime)),
+            "repeat": lambda: rnd.choice(candidates),
+            "random": lambda: rnd.randrange(1, top),
+        }
+        kinds = data.draw(st.sets(st.sampled_from(sorted(set(draws) - set(left_out)))), label="kinds")
+        kinds = sorted(kinds | set(kept)) or ["random"]
+        candidates: list[int] = []
+        for _ in range(rnd.randint(0, 4)):  # rejected before the first survivor
+            candidates.append(rnd.choice((0, -3, top, rnd.randrange(1, top))))
+        candidates.append(r_prime * k0)
+        # lengths just below, at and above a multiple of the block size
+        for _ in range(max(0, blocks * _BLOCK + extra)):
+            candidates.append(draws[rnd.choice(kinds)]())
+        survivors, mu = assert_meters_like_reference(
+            filter_candidates, reference_filter_candidates, group, 1, candidates, ctx
+        )
+        meter, want = ExponentMeter(), ExponentMeter()
+        generator = (cand for cand in candidates)
+        assert filter_candidates(group, 1, generator, ctx, meter) == (survivors, mu)
+        reference_filter_candidates(group, 1, candidates, ctx, want)
+        assert meter.total_bits == want.total_bits
+
+    @given(st.lists(st.integers(0, 12), min_size=4, max_size=4), st.integers(1, 1 << 40))
+    @settings(max_examples=50, deadline=None)
+    def test_split_takes_every_context_prime(self, powers, rest):
+        # every power of 2, 3, 5 and 1279 <= cm = 1280 goes to Gs, however
+        # far beyond its cap, so that Gb is prime to the context
+        smooth = SmoothnessContext.build(10.0, 128).smooth_exponent
+        G = math.prod(q ** e for q, e in zip((2, 3, 5, 1279), powers)) * rest
+        Gs, Gb = _split_smooth(G, smooth)
+        assert Gs * Gb == G
+        assert math.gcd(Gb, smooth) == 1
+        assert max(factorize(Gs), default=1) <= 1280
+
+    def test_peak_windows_of_the_benchmark_geometry(self):
+        # 20 enumerate windows, m = 128, ell = 120, B = 10, each centred on
+        # a peak of a random 128-bit order, as the pipeline makes them
+        ctx = SmoothnessContext.build(10.0, 128)
+        rng = random.Random(29)
+        for _ in range(20):
+            r = rng.getrandbits(128) | (1 << 127) | 1
+            p = Params(r=r, m=128, ell=120, B=10)
+            j = peak(rng.randrange(r), p).j0 % p.two_n
+            candidates = window_candidates(p, reduce_window(j, 10, p))
+            counts = []
+            for filt in (filter_candidates, reference_filter_candidates):
+                group = CountingGroup(r)
+                meter = ExponentMeter()
+                counts.append((filt(group, 1, candidates, ctx, meter), meter.total_bits, group.powers))
+            assert counts[0] == counts[1]
+            assert counts[0][0][0]  # the peak's candidates hold a survivor
 
 
 class TestTreePruning:
