@@ -141,12 +141,17 @@ def factoring_success_bound(
     l-bit modulus), unless delta is given, in which case the reduced
     register ell = m - delta with lattice post-processing is assumed and
     the order term scales as 2**(-ell) instead of 2**(-(m+ell)/2).
-    The last factor prices the k splitting rounds and the sigma-slack
-    smoothness of the group exponent.
+    The last factor prices the k >= 0 splitting rounds and the
+    sigma-slack smoothness of the group exponent, sigma >= 1 as
+    smoothness_bound asks of c.
     """
     m = l - 1
     if m < 2:
         raise ParameterError(f"modulus bit length l={l} too small")
+    if k < 0 or n_primes < 2 or sigma < 1:
+        raise ParameterError(
+            f"need k >= 0, n_primes >= 2 and sigma >= 1, got {k=}, {n_primes=}, {sigma=}"
+        )
     if delta is None:
         ell, elimination = m, "sqrt"
     else:

@@ -13,6 +13,11 @@ the denominator (b // a) q + q'.  The numerators never enter, so only
 remainders and denominators are carried.  For integers, q*q < N holds
 exactly when q <= isqrt(N - 1), so the threshold is one isqrt per call.
 
+The candidate of o depends only on o mod N.  For o > N, Euclid on
+(o, N) takes the quotients 0 and then o // N, which leaves the
+remainders (o mod N, N) and the denominators (0, 1), the start for
+o mod N; o = N takes one quotient 1 and gives 1, as o = 0 does.
+
 The signed remainder s(o) = q o - p N is affine in o with slope q, and
 after k steps it is 0 or has the sign (-1)**k.  That makes a window
 j-B..j+B cheap: Euclid runs once on its two ends while they take the
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Params, window_runs
+from .model import Params, check_window
 
 
 def _shared_prefix(N: int, qmax: int, lo: int, hi: int):
@@ -59,11 +64,11 @@ def _finish(a: int, b: int, q_prev: int, q: int, qmax: int) -> int:
 def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
     """solve_cf of each offset (j + k) mod 2**n, k = -B..B, in offset order.
 
-    A window that wraps past 0 or 2**n is split where it wraps, into
-    runs lo..hi of consecutive offsets (model.window_runs); both runs
-    take the path below.
+    The window is one run lo..hi of 2B + 1 consecutive integers,
+    lo = (j - B) mod N, and hi = lo + 2B may pass N: the offset o stands
+    for o mod N, whose candidate it has (module docstring).
 
-    On a run, after k shared steps every o in lo..hi has the same
+    On the run, after k shared steps every o in lo..hi has the same
     convergents p'/q', p/q, and its remainders are a(o) = e s(o) and
     b(o) = -e s'(o), with s(o) = q o - p N, s'(o) = q' o - p' N and
     e = (-1)**k.  Both are affine in o, with slopes e q and -e q'.  The
@@ -72,29 +77,28 @@ def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
     o, so if they hold at lo and at hi they hold at every o between.
     The new remainders b - Q a = -e (q_next o - p_next N) and a are
     again of that form with k + 1.  The threshold q_next <= qmax does
-    not depend on o.  So where the ends part, every inner offset has
-    taken the same quotients and
+    not depend on o.  None of this uses o < N.  So where the ends part,
+    every inner offset has taken the same quotients and
 
         a(o) = a_lo + sa (o - lo),  sa = (a_hi - a_lo) / (hi - lo) = e q,
         b(o) = b_lo + sb (o - lo),  sb = (b_hi - b_lo) / (hi - lo) = -e q',
 
     with exact divisions.  Each offset then finishes alone from
     (a(o), b(o), q', q).  qmax = isqrt(N - 1) is the largest q with
-    q*q < N.
+    q*q < N.  A run past N parts at once (lo > 0 takes a first quotient
+    N // lo >= 1, which leaves hi > N a negative remainder; lo = 0 takes
+    no step), or after one step when hi = N: it shares no work, but occurs
+    only near z = 0.
     """
     N = params.two_n
+    check_window(j, B, N)
     qmax = math.isqrt(N - 1)
-    out: list[int] = []
-    for lo, w in window_runs(j, B, N):
-        if not w:
-            out.append(_finish(lo, N, 0, 1, qmax))
-        else:
-            a_lo, b_lo, a_hi, b_hi, q_prev, q = _shared_prefix(N, qmax, lo, lo + w)
-            sa, sb = (a_hi - a_lo) // w, (b_hi - b_lo) // w
-            out.extend(
-                _finish(a_lo + sa * k, b_lo + sb * k, q_prev, q, qmax) for k in range(w + 1)
-            )
-    return out
+    if not B:
+        return [_finish(j, N, 0, 1, qmax)]
+    lo, w = (j - B) % N, 2 * B
+    a_lo, b_lo, a_hi, b_hi, q_prev, q = _shared_prefix(N, qmax, lo, lo + w)
+    sa, sb = (a_hi - a_lo) // w, (b_hi - b_lo) // w
+    return [_finish(a_lo + sa * k, b_lo + sb * k, q_prev, q, qmax) for k in range(w + 1)]
 
 
 def solve_cf(j: int, params: Params) -> int:

@@ -457,20 +457,21 @@ def _float_mass(alpha: int, params: Params, d: DerivedParams) -> float | None:
     return float(r) * p
 
 
-def _float_walk(alpha0: int, u: Fraction, params: Params, d: DerivedParams, t_cap: int):
+def _float_walk(alpha0: int, U: int, bits: int, params: Params, d: DerivedParams, t_cap: int):
     """The sampler walk in float64: the offset _mpmath_walk returns, None
     for a tail, or _UNDECIDED when a comparison is too close to call.
 
     At step i (i + 1 terms) the float total S and the float target T
-    decide `cum[i] >= u` for the mpmath walk's cum only when they differ
-    by more than the slack 2 (32u + (i + 1) u) max(S, T), which covers:
+    decide `cum[i] >= U / 2**bits` for the mpmath walk's cum only when
+    they differ by more than the slack 2 (32u + (i + 1) u) max(S, T),
+    which covers:
       - the float terms, each within 32u of r * P (_float_mass);
       - the float sum of i + 1 non-negative terms, within i u / (1 - i u)
         times their exact sum (Higham, Accuracy and Stability of
         Numerical Algorithms, section 4.2);
       - the mpmath walk at p = n + 64 >= 66 bits, whose terms are within
         16 * 2**-p and whose sums add 2**-p per step, far below u;
-      - T, one correctly rounded int division of the exact u, within u.
+      - T = U / 2**bits, one correctly rounded int division, within u.
     These add up to less than (32u + (i + 1) u) max(S, T) times a factor
     below 1.001 for any walk under 2**40 steps; the factor 2 also
     absorbs the rounding of the slack and of S - T themselves.
@@ -478,7 +479,7 @@ def _float_walk(alpha0: int, u: Fraction, params: Params, d: DerivedParams, t_ca
     if params.n > _FLOAT_WIDTH_LIMIT:
         return _UNDECIDED
     r = params.r
-    target = u.numerator / u.denominator
+    target = U / (1 << bits)
     total = 0.0
     for i in range(2 * t_cap + 1):
         t = _walk_offset(i)
@@ -494,14 +495,15 @@ def _float_walk(alpha0: int, u: Fraction, params: Params, d: DerivedParams, t_ca
     return None
 
 
-def _mpmath_walk(alpha0: int, u: Fraction, params: Params, t_cap: int) -> int | None:
+def _mpmath_walk(alpha0: int, U: int, bits: int, params: Params, t_cap: int) -> int | None:
     """The first offset of the outward walk whose cumulative mass, added
-    up in mpmath at n + 64 bits, reaches u exactly; None for a tail."""
+    up in mpmath at n + 64 bits, reaches U / 2**bits exactly; None for a
+    tail."""
     prec = default_prec(params)
     r = params.r
     with mpmath.workprec(prec):
-        # u arrives reduced, so divide by its own denominator, exactly
-        target = mpmath.mpf(u.numerator) / mpmath.mpf(u.denominator)
+        # U < 2**bits and bits < prec, so the target is exact
+        target = mpmath.ldexp(U, -bits)
         total = mpmath.mpf(0)
         for i in range(2 * t_cap + 1):
             t = _walk_offset(i)
@@ -517,17 +519,17 @@ class Sampler:
     A peak index z is drawn uniformly (each peak carries mass 1/r up to
     the window truncation error, which is booked as tail), then the
     offset t is drawn by accumulating the conditional masses
-    r * P(alpha0(z) + r t) outward (t = 0, +1, -1, +2, ...) against a
-    uniform dyadic variate u of n + 48 bits.  Offsets are capped at
-    min(t_max, floor(B_max)), past which the walk would leave the peak's
-    cell; the unreached remainder is reported as tail.
+    r * P(alpha0(z) + r t) outward (t = 0, +1, -1, +2, ...) against the
+    target U / 2**(n + 48), U a uniform integer of n + 48 bits.  Offsets
+    are capped at min(t_max, floor(B_max)), past which the walk would
+    leave the peak's cell; the unreached remainder is reported as tail.
 
     The draw is defined by _mpmath_walk: the first offset whose
-    cumulative mass, added up in mpmath at n + 64 bits, reaches u.  The
-    walk runs in float64 (_float_walk) and falls back to _mpmath_walk,
-    on the same z and u, only when a certified error band cannot decide
-    a comparison or the register is too wide for float64.  Either way
-    the result is the same draw.
+    cumulative mass, added up in mpmath at n + 64 bits, reaches the
+    target.  The walk runs in float64 (_float_walk) and falls back to
+    _mpmath_walk, on the same z and U, only when a certified error band
+    cannot decide a comparison or the register is too wide for float64.
+    Either way the result is the same draw.
     """
 
     def __init__(self, params: Params, t_max: int):
@@ -540,11 +542,12 @@ class Sampler:
     def sample(self, rng: Rng) -> SampleResult:
         params = self.params
         z = rng.randrange(params.r)
-        u = rng.unit_fraction(params.n + 48)
+        bits = params.n + 48
+        U = rng.getrandbits(bits)
         pk = peak(z, params)
-        t = _float_walk(pk.alpha0, u, params, self._derived, self.t_cap)
+        t = _float_walk(pk.alpha0, U, bits, params, self._derived, self.t_cap)
         if t is _UNDECIDED:
-            t = _mpmath_walk(pk.alpha0, u, params, self.t_cap)
+            t = _mpmath_walk(pk.alpha0, U, bits, params, self.t_cap)
         if t is None:
             return SampleResult(z=z, t=None, j=None, tail=True)
         return SampleResult(z=z, t=t, j=(pk.j0 + t) % params.two_n, tail=False)

@@ -154,25 +154,6 @@ def centre_out(per_offset: list) -> list:
     return out
 
 
-def window_runs(j: int, B: int, N: int) -> list[tuple[int, int]]:
-    """The window (j + k) mod N, k = -B..B, as runs (lo, w) of consecutive
-    offsets lo..lo + w, all in [0, N), in offset order.
-
-    A window that wraps past 0 or N is split where it wraps (o/N jumps
-    there from near 1 to near 0), so the solvers that share work across
-    a run see only consecutive offsets.
-    """
-    check_window(j, B, N)
-    start, stop = j - B, j + B
-    runs = []
-    while start <= stop:
-        lo = start % N
-        w = min(stop - start, N - 1 - lo)
-        runs.append((lo, w))
-        start += w + 1
-    return runs
-
-
 class Rng:
     """Deterministic random stream with explicit splitting.
 
@@ -195,10 +176,6 @@ class Rng:
 
     def getrandbits(self, k: int) -> int:
         return self._r.getrandbits(k)
-
-    def unit_fraction(self, bits: int) -> Fraction:
-        """Uniform dyadic rational in [0, 1) with the given resolution."""
-        return Fraction(self._r.getrandbits(bits), 1 << bits)
 
 
 class SimulatedGroup:

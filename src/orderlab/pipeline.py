@@ -423,6 +423,12 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
     reduced by perfect powers and primality until all are prime.  Never
     factors: it reads only the memoized primality and perfect-power
     verdicts, which it shares with factorize.
+
+    The walk squares s = v2(R) times and stops at x**R.  Modulo each
+    p**e exactly dividing N, the order of x divides p**(e-1) (p - 1),
+    and v2(p - 1) < bitlen(N) <= v2(R), so x**R and x**(2R) have the same
+    order in that cyclic group, which decides whether each is 1 mod p**i
+    for every i: a further square would change no verdict and no gcd.
     """
     R = order << N.bit_length()
     s = (R & -R).bit_length() - 1
@@ -459,12 +465,12 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
         if y == 1:
             continue
         steps = 0
-        while y != 1 and steps <= s:
+        while y != 1 and steps < s:
             prev = y
             y = (y * y) % N
             steps += 1
         if y == 1:
-            # y != 1 before the loop, so it squared at least once: prev is set
+            # y != 1 before the loop and s >= bitlen(N), so prev is set
             if prev != N - 1:
                 parts = split_parts(parts, math.gcd(prev - 1, N))
                 parts = split_parts(parts, math.gcd(prev + 1, N))
@@ -502,6 +508,8 @@ def factor_completely(
     """
     if N <= 3 or N % 2 == 0:
         raise ValueError(f"N={N}: need an odd integer above 3")
+    if split_iterations < 0:
+        raise ValueError(f"need split_iterations >= 0, got {split_iterations}")
     if is_probable_prime(N):
         raise ValueError(f"N={N} is prime; nothing to factor")
     pp = perfect_power(N)

@@ -345,9 +345,11 @@ def filter_candidates(
     gcd(r~, G) * smooth_exponent, so mu is the same value that
     reducing through mu itself would reach.
 
-    Repeated candidates are skipped, and so is a reduction equal to a
-    dismissed one: every dismissed d has r' not dividing d, so a later
-    gcd(r~, G) = d would be rejected too, however far G has shrunk.
+    Each candidate is tested at most once: a repeat is skipped, in
+    either phase, whether the first copy was accepted or dismissed.  A
+    reduction equal to a dismissed one is skipped too: every dismissed d
+    has r' not dividing d, so a later gcd(r~, G) = d would be rejected
+    too, however far G has shrunk.
 
     The second phase finds most gcd(r~, G) without a gcd against G.
     It keeps G = Gs * Gb with coprime Gs and Gb, and takes the candidates
@@ -382,7 +384,6 @@ def filter_candidates(
     bits = (smooth - 1).bit_length()
     top = 1 << ctx.m
     G = 0
-    accepted: set[int] = set()
     dismissed: set[int] = set()
     survivors: list[int] = []
     rest = iter(candidates)
@@ -391,11 +392,11 @@ def filter_candidates(
             continue
         bits += (cand - 1).bit_length()
         if is_identity(pow_(x, cand)):
-            accepted.add(cand)
             G = cand
             survivors.append(cand)
             break
         dismissed.add(cand)
+    tested = {*dismissed, *survivors}
     rest = list(rest)
     if len(rest) < _BLOCK:
         Gs, Gb, blocks = G, 1, (rest,)
@@ -407,11 +408,11 @@ def filter_candidates(
         for cand in block:
             reduced = math.gcd(cand, H)
             # most reductions are a dismissed 1, so that skip comes first
-            if reduced in dismissed or not 1 <= cand < top or cand in accepted:
+            if reduced in dismissed or not 1 <= cand < top or cand in tested:
                 continue
+            tested.add(cand)
             bits += (reduced - 1).bit_length()
             if is_identity(pow_(x, reduced)):
-                accepted.add(cand)
                 G = H = reduced
                 survivors.append(cand)
                 Gs = math.gcd(G, Gs)

@@ -274,3 +274,8 @@ class TestFactoringBound:
     def test_within_unit_interval_for_sane_inputs(self):
         v = float(factoring_success_bound(2048, 2, 8, 1.0, 1000, 25))
         assert 0 < v < 1
+
+    @pytest.mark.parametrize("n_primes,k,sigma", [(2, -1, 25.0), (1, 10, 25.0), (2, 10, 0.5)])
+    def test_validation(self, n_primes, k, sigma):
+        with pytest.raises(ParameterError):
+            factoring_success_bound(64, n_primes, k, sigma, 10, 25)

@@ -199,11 +199,15 @@ class TestSolveCfWindow:
         assert solve_cf_window(j, B, p) == _window_reference(j, B, p)
 
     def test_every_window_of_small_registers(self):
-        # every frequency and every B <= 3, wrapping windows included
+        # every frequency and every B <= 3, wrapping windows included, and
+        # at n <= 5 every window of 2B + 1 <= 3 * 2**n offsets: one run
+        # lo..lo + 2B that may pass 2**n or wrap more than once.  j = B
+        # gives lo = 0, and j = 2**n - B with B < 2**(n-2) gives hi = 2**n
+        # with lo > 2**(n-1), whose ends share one step of quotient 1
         for n in range(3, 11):
             p = Params(r=3, m=2, ell=n - 2)
             per_offset = [_solve_cf_reference(o, p) for o in range(p.two_n)]
-            for B in range(4):
+            for B in range(3 * p.two_n // 2 if n <= 5 else 4):
                 for j in range(p.two_n):
                     want = [per_offset[(j + k) % p.two_n] for k in range(-B, B + 1)]
                     assert solve_cf_window(j, B, p) == want, (n, B, j)

@@ -44,6 +44,13 @@ class TestBound:
         assert main(["bound", "--m", "8", "--ell", "8", "--B", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--k", "-1"], ["--sigma", "0"], ["--n-primes", "1"]])
+    def test_invalid_factoring_values_exit_2(self, flags, capsys):
+        assert main(["bound", "--l", "64", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestTable:
     def test_layout_and_cells(self, capsys):
@@ -157,6 +164,12 @@ class TestFactor:
     def test_invalid_modulus_exits_2(self, capsys):
         assert main(["factor", "--N", "16", "--seed", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_split_iterations_exits_2(self, capsys):
+        assert main(["factor", "--N", "3233", "--split-iterations", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: need split_iterations >= 0, got -1" in captured.err
 
     def test_unknown_recovery_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

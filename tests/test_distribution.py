@@ -389,15 +389,16 @@ def _offset(i: int) -> int:
 def _sample_reference(params: Params, t_max: int, rng) -> SampleResult:
     """The sampler as it was before the float64 walk: the cumulative
     masses r * P added up in mpmath at n + 64 bits, and the first index
-    whose total reaches the exact dyadic u, found with bisect_left.  The
-    old per-peak cache only replayed these same totals, so a fresh walk
-    per draw gives the same draws."""
+    whose total reaches the exact target U / 2**(n + 48), found with
+    bisect_left.  The old per-peak cache only replayed these same
+    totals, so a fresh walk per draw gives the same draws."""
     t_cap = min(t_max, derive(params).B_max_floor)
     prec = params.n + 64
     z = rng.randrange(params.r)
-    u = rng.unit_fraction(params.n + 48)
+    bits = params.n + 48
+    U = rng.getrandbits(bits)
     with mpmath.workprec(prec):
-        target = mpmath.mpf(u.numerator) / mpmath.mpf(u.denominator)
+        target = mpmath.mpf(U) / 2**bits
         cum = []
         total = mpmath.mpf(0)
         alpha0 = peak(z, params).alpha0
@@ -412,18 +413,19 @@ def _sample_reference(params: Params, t_max: int, rng) -> SampleResult:
 
 
 class StubRng:
-    """Hands the sampler a chosen peak z and a chosen dyadic u."""
+    """Hands the sampler a chosen peak z and a chosen integer U, the
+    target U / 2**(n + 48)."""
 
-    def __init__(self, z: int, u: Fraction, params: Params):
-        self.z, self.u, self.params = z, u, params
+    def __init__(self, z: int, U: int, params: Params):
+        self.z, self.U, self.params = z, U, params
 
     def randrange(self, stop):
         assert stop == self.params.r
         return self.z
 
-    def unit_fraction(self, bits):
+    def getrandbits(self, bits):
         assert bits == self.params.n + 48
-        return self.u
+        return self.U
 
 
 @pytest.fixture
@@ -489,7 +491,7 @@ class TestFloatWalkMatchesReference:
     def test_u_zero(self, r, m, ell):
         p = Params(r=r, m=m, ell=ell)
         for z in (0, 1, r // 2, r - 1):
-            rng = StubRng(z, Fraction(0), p)
+            rng = StubRng(z, 0, p)
             got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
             assert got == _sample_reference(p, RunConfig.t_max, rng)
             assert got.t == 0
@@ -499,18 +501,18 @@ class TestFloatWalkMatchesReference:
         for r, m, ell in ((13, 4, 4), (5, 3, 9), (random_order(rnd, 128), 128, 128)):
             p = Params(r=r, m=m, ell=ell)
             for _ in range(20):
-                rng = StubRng(0, Fraction(rnd.getrandbits(p.n + 48), 1 << (p.n + 48)), p)
+                rng = StubRng(0, rnd.getrandbits(p.n + 48), p)
                 got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
                 assert got == _sample_reference(p, RunConfig.t_max, rng)
 
     @pytest.mark.parametrize("r,m,ell", [(8, 4, 4), (4, 3, 1), (2**20, 21, 30)])
     def test_order_divides_register(self, r, m, ell, fallbacks):
-        # r * P(0) = 1 exactly, so every u < 1 stops at t = 0; u one step
-        # below 1 is inside the band, and the fallback agrees
+        # r * P(0) = 1 exactly, so every target below 1 stops at t = 0; the
+        # target one step below 1 is inside the band, and the fallback agrees
         p = Params(r=r, m=m, ell=ell)
         bits = p.n + 48
-        for z, u in enumerate((Fraction(0), Fraction(3, 8), Fraction((1 << bits) - 1, 1 << bits))):
-            rng = StubRng(z, u, p)
+        for z, U in enumerate((0, 3 << (bits - 3), (1 << bits) - 1)):
+            rng = StubRng(z, U, p)
             got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
             assert got == _sample_reference(p, RunConfig.t_max, rng)
             assert got.t == 0 and not got.tail
@@ -525,7 +527,7 @@ class TestForcedFallback:
         z = 5
         alpha0 = peak(z, p).alpha0
         prec = p.n + 64
-        steps = []  # the dyadic u nearest below each of the first three totals
+        steps = []  # the U whose target is nearest below each of the first three totals
         with mpmath.workprec(prec):
             total = mpmath.mpf(0)
             for i in range(3):
@@ -534,7 +536,7 @@ class TestForcedFallback:
         for i, k in enumerate(steps):
             outcomes = set()
             for step in (-1, 0, 1):
-                rng = StubRng(z, Fraction(k + step, 1 << bits), p)
+                rng = StubRng(z, k + step, p)
                 before = len(fallbacks)
                 got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
                 assert got == _sample_reference(p, RunConfig.t_max, rng)

@@ -172,13 +172,6 @@ class TestRng:
         # first and second children are distinct streams
         assert seq_a2 != [Rng(7).split().getrandbits(32) for _ in range(5)]
 
-    def test_unit_fraction_range(self):
-        rng = Rng(1)
-        for _ in range(100):
-            u = rng.unit_fraction(64)
-            assert 0 <= u < 1
-            assert u.denominator & (u.denominator - 1) == 0  # dyadic
-
     def test_two_arg_randrange(self):
         rng = Rng(5)
         for _ in range(50):

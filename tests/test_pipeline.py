@@ -639,6 +639,8 @@ class TestFactorCompletely:
         with pytest.raises(ValueError):
             factor_completely(13, seed=0)  # prime
         with pytest.raises(ValueError):
+            factor_completely(3233, seed=0, split_iterations=-1)
+        with pytest.raises(ValueError):
             factor_completely(3, seed=0)
         with pytest.raises(TypeError):
             factor_completely(15, seed=0, delta=3)  # N fixes the register split

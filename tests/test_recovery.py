@@ -265,6 +265,19 @@ class TestFilter:
         assert survivors == [11, 22]
         assert group.powers == 4
 
+    def test_repeat_dismissed_before_the_first_acceptance(self):
+        # order 143 = 11 * 13 with cm = 10: 33 is dismissed, 286 accepted,
+        # and the second 33, whose reduction gcd(33, 286) = 11 was never
+        # dismissed, is skipped as a repeat all the same
+        ctx = SmoothnessContext.build(1, 10)
+        runs = []
+        for cands in ([33, 286, 33], [33, 286]):
+            group, meter = CountingGroup(143), ExponentMeter()
+            survivors, mu = filter_candidates(group, 1, cands, ctx, meter)
+            runs.append((survivors, mu, group.powers, meter.total_bits))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [286] and runs[0][2:] == (3, 27)
+
     def test_mu_reduction_preserves_verdicts(self):
         group = SimulatedGroup(360)
         ctx = SmoothnessContext.build(3, 4)  # cm = 12
@@ -425,18 +438,18 @@ def reference_recover_order_tree(group, g, r_tilde, ctx, meter=None):
 def reference_filter_candidates(group, g, candidates, ctx, meter=None):
     """filter_candidates with per-power metering, in one loop: each
     candidate is reduced through the gcd G of those accepted so far
-    (gcd(cand, 0) = cand before the first)."""
+    (gcd(cand, 0) = cand before the first), and tested at most once."""
     x = _ref_pow(group, g, ctx.smooth_exponent, meter)
     G = 0
-    accepted, dismissed, survivors = set(), set(), []
+    tested, dismissed, survivors = set(), set(), []
     for cand in candidates:
-        if not 1 <= cand < (1 << ctx.m) or cand in accepted:
+        if not 1 <= cand < (1 << ctx.m) or cand in tested:
             continue
         reduced = math.gcd(cand, G)
         if reduced in dismissed:
             continue
+        tested.add(cand)
         if group.is_identity(_ref_pow(group, x, reduced, meter)):
-            accepted.add(cand)
             G = reduced
             survivors.append(cand)
         else:
