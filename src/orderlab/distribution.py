@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -397,10 +396,12 @@ class SampleResult:
 _U = 2.0 ** -53  # unit roundoff of float64
 # Relative error bound of one _float_mass term, proved in its docstring.
 _MASS_REL_ERR = 32 * _U
-# Widest register for which every nonzero sine square (at least
-# 4 / 2**(2n)) and the quotient 2**(2n) P stay normal floats; wider
-# registers walk in mpmath only.
-_FLOAT_WIDTH_LIMIT = 511
+# Widest register that walks in float64; wider registers walk in mpmath
+# only.  Every float of _float_mass then stays normal: a nonzero folded
+# sine square is at least 4 / 2**(2n), as sin x >= 2x/pi on [0, pi/2], so
+# the quotient 2**(2n) P, a nonzero numerator over a square at most 1, is
+# too, and P is 0 or at least 2**(2 - 4n) >= 2**-1022 for n <= 256.
+_FLOAT_WIDTH_LIMIT = 256
 _UNDECIDED = object()
 
 
@@ -420,12 +421,11 @@ def _float_sin2(numer: int, denom: int) -> float:
     return s * s
 
 
-def _float_mass(alpha: int, params: Params, d: DerivedParams) -> float | None:
+def _float_mass(alpha: int, params: Params, d: DerivedParams) -> float:
     """r * P(alpha) in float64 with relative error at most _MASS_REL_ERR.
 
-    Returns None when the result would leave the normal range, which
-    can happen only for n > 256.  With u = 2**-53 and every float
-    normal, to first order in u:
+    With u = 2**-53 and every float normal (n <= _FLOAT_WIDTH_LIMIT),
+    to first order in u:
       - k / 2**n is one correctly rounded int division (u), fl(pi) is
         within u/2 of pi, and their product rounds once (u), so the
         angle theta in (0, pi/2] is off by at most 2.5u relative.  Since
@@ -451,10 +451,7 @@ def _float_mass(alpha: int, params: Params, d: DerivedParams) -> float | None:
     num = (float(d.beta) * _float_sin2(alpha * (d.L + 1), N)
            + float(r - d.beta) * _float_sin2(alpha * d.L, N))
     q = num / _float_sin2(abs(alpha), N)
-    p = math.ldexp(q, -2 * params.n)
-    if q and p < sys.float_info.min:
-        return None
-    return float(r) * p
+    return float(r) * math.ldexp(q, -2 * params.n)
 
 
 def _float_walk(alpha0: int, U: int, bits: int, params: Params, d: DerivedParams, t_cap: int):
@@ -483,10 +480,7 @@ def _float_walk(alpha0: int, U: int, bits: int, params: Params, d: DerivedParams
     total = 0.0
     for i in range(2 * t_cap + 1):
         t = _walk_offset(i)
-        mass = _float_mass(alpha0 + r * t, params, d)
-        if mass is None:
-            return _UNDECIDED
-        total += mass
+        total += _float_mass(alpha0 + r * t, params, d)
         slack = 2 * (_MASS_REL_ERR + (i + 1) * _U) * max(total, target)
         if total - target > slack:
             return t

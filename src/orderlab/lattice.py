@@ -41,26 +41,14 @@ coordinate is negative, or 0 with a negative first coordinate, and at
 o = 2**(n-1) s1 = (0, -2), s2 = (2**(n-1), -1).  So reduce_window
 returns lagrange_reduce of every offset exactly.
 
-The enumeration counts each row m2 of w = m1 s1 + m2 s2 in closed form:
-with A = norm4(s1) the Gram determinant 2**(2n+2) gives
+One offset's enumeration (enumerate_candidates) takes its candidates
+from the offset's strip (below) and counts the points of the circle row
+by row, each row m2 of w = m1 s1 + m2 s2 in closed form: with
+A = norm4(s1) the Gram determinant 2**(2n+2) gives
 A norm4(w) = (A m1 + m2 dot4(s1, s2))**2 + 2**(2n+2) m2**2, so a row
-meets the circle in one interval of m1, clipped by the half plane and
-the coordinate box.  Candidates need no deduplication: two box vectors
-with the same w_2 would differ by a nonzero multiple of (2**n, 0),
-longer than the box is wide (2**m, and n >= m + 1).
-
-Rows m2 and -m2 are mirror images under w -> -w, which maps
-(m1, m2) to (-m1, -m2).  The discriminant depends on m2**2 only, so
-row -m2's interval inside the circle is the negation of row m2's; the
-box |w_1| < 2**(m-1) is symmetric; and row -m2's half plane w_2 >= 0
-and box 0 < w_2 < 2**(m-1) are row m2's w_2 <= 0 and
--2**(m-1) < w_2 < 0.  So each pair of rows takes one square root and
-one set of clips: row -m2's candidates are -w_2 over row m2's
-w_2 <= -1 part, read with m1 descending.  A lattice vector with
-w_2 = 0 is a multiple of (2**n, 0), and only 0 is inside the circle,
-so for m2 != 0 the two rows visit row m2's interval exactly once
-between them.  Likewise (s1)_2 != 0, since the reduced s1 is shorter
-than (2**n, 0): every row's candidates step by (s1)_2.
+meets the circle in one interval of m1.  (s1)_2 != 0, since the reduced
+s1 is shorter than (2**n, 0), and a lattice vector with w_2 = 0 is a
+multiple of (2**n, 0), of which only 0 is inside the circle.
 
 No enumeration visits more than its budget ceil(6 sqrt(3) 2**delta)
 with delta = max(0, m - ell), for any j, m and ell >= 1, so nothing
@@ -256,7 +244,7 @@ def solve_shortest(j: int, params: Params) -> int:
 class EnumerationResult:
     """Candidates from enumerating short vectors around a reduced basis.
 
-    candidates are distinct, in order of (m2, m1); visited counts the
+    candidates are distinct, in descending order; visited counts the
     vectors w = m1 s1 + m2 s2 inside the circle with w_2 >= 0.
     case 1 means the single reduced vector already decided the answer.
     """
@@ -267,55 +255,43 @@ class EnumerationResult:
     budget: int
 
 
-def _clip(lo: int, hi: int, a: int, b: int, low: int, high: int) -> tuple[int, int]:
-    """The part of [lo, hi] where low <= a * m1 + b <= high (maybe empty)."""
-    if a > 0:
-        l, h = -((b - low) // a), (high - b) // a
-    elif a < 0:
-        l, h = -((high - b) // -a), (b - low) // -a
-    else:
-        return (lo, hi) if low <= b <= high else (lo, lo - 1)
-    return (l if l > lo else lo), (h if h < hi else hi)
-
-
 def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> EnumerationResult:
     """All order candidates 2 w_2 from lattice vectors with |w| < 2**(m-1/2),
     given rb, the reduced basis of j (lagrange_reduce or reduce_window).
 
     If the reduced basis certifies that only multiples of s1 can be that
     short (case 1), the single candidate 2 |(s1)_2| is returned without
-    enumeration.  Otherwise vectors w = m1 s1 + m2 s2 inside the circle
-    are enumerated, restricted to the top semicircle (w_2 >= 0) and to
-    the coordinate box |w_1| < 2**(m-1), 0 < w_2 < 2**(m-1) that any
-    true order vector satisfies.  The number of vectors visited never
-    exceeds the budget ceil(6 sqrt(3) 2**delta), delta = m - ell (module
-    docstring), and is returned with it.  j is not read: the basis
+    enumeration.  Otherwise the candidates are 2 w_2 over the vectors in
+    the coordinate box |w_1| < 2**(m-1), 0 < w_2 < 2**(m-1) that any true
+    order vector satisfies: offset j's strip, which lies inside the
+    circle (module docstring), read by _triangle.  Two box vectors with
+    equal w_2 would differ by a nonzero multiple of (2**n, 0), wider than
+    the box, so the candidates are distinct.  j is not read: the basis
     carries everything, and j stays for callers that name the frequency.
     The pipeline takes whole windows through window_candidates; this
     per-offset enumeration is criterion 07's subject and its oracle.
 
-    Each row m2 is counted, not walked.  With A = norm4(s1) and
+    visited is counted row by row, never walked.  With A = norm4(s1) and
     c = -m2 dot4(s1, s2), the Gram determinant gives
         A norm4(w) = (A m1 - c)**2 + 2**(2n+2) m2**2,
-    so the row's vectors inside the circle are exactly the m1 in
-    [ceil((c - s)/A), floor((c + s)/A)], s the largest integer with
-    s**2 < disc = A 2**(2m+1) - 2**(2n+2) m2**2.  The half plane and the
-    box are linear in m1 and clip that interval, and the candidates of a
-    row form an arithmetic progression with step (s1)_2.  They never
-    repeat: two box vectors with equal w_2 differ by a multiple of
-    (2**n, 0), yet their first coordinates differ by less than
-    2**m <= 2**(n-1).  Rows m2 and -m2 are solved together, as the
-    mirror argument of the module docstring allows.
+    so row m2 holds the m1 in [ceil((c - s)/A), floor((c + s)/A)] inside
+    the circle, s the largest integer with
+    s**2 < disc = A 2**(2m+1) - 2**(2n+2) m2**2.  w -> -w maps row -m2
+    onto row m2 and w_2 < 0 onto w_2 > 0, and no vector of a row m2 != 0
+    has w_2 = 0, so the rows m2 >= 1 hold as many vectors as have w_2 > 0
+    off row 0.  Row 0 adds the k + 1 vectors m1 s1 with w_2 >= 0 and
+    |m1| <= k, the largest k with (A k)**2 < A R4, R4 = 2**(2m+1).  The
+    count never exceeds the budget ceil(6 sqrt(3) 2**delta),
+    delta = m - ell (module docstring), returned with it.
     """
     m = params.m
     budget = bounds.enumeration_budget(max(0, m - params.ell))
-    (x1, y1), (x2, y2) = rb.s1, rb.s2
     A = norm4(rb.s1)
 
     # case 1: lambda2_perp >= 2**(m - 1/2), i.e. 2**(2n) / A >= 2**(2m-1)
     if 1 << (2 * params.n) >= A << (2 * m - 1):
         return EnumerationResult(
-            candidates=[abs(y1)],
+            candidates=[abs(rb.s1.y2)],
             visited=1,
             case=1,
             budget=budget,
@@ -323,49 +299,27 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
 
     Bc = dot4(rb.s1, rb.s2)
     AR4 = A << (2 * m + 1)  # A R4, where norm4(w) < R4  <=>  |w| < 2**(m - 1/2)
-    x_cap = 1 << m          # |w_1| < 2**(m-1)  <=>  2|w.x| < 2**m
     det_shift = 2 * params.n + 2  # A norm4(s2) - Bc**2 = 2**(2n+2)
     # outer range: m2^2 * 2**(2n) < 2**(2m-1) * A  (lambda2_perp bound), so
     # every row up to m2_max has disc = A R4 - 2**(2n+2) m2**2 > 0
     m2_max = math.isqrt(((A << (2 * m - 1)) - 1) >> (2 * params.n))
-    candidates: list[int] = []
-    rows: list[tuple[int, int, int]] = []  # rows m2 = m2_max..1 as (lo, hi, yc)
-    visited = 0
-    for m2 in range(m2_max, 0, -1):
+    visited = math.isqrt(AR4 - 1) // A + 1  # row 0: k + 1
+    for m2 in range(1, m2_max + 1):
         s = math.isqrt(AR4 - ((m2 * m2) << det_shift) - 1)  # s**2 < disc
         c = -Bc * m2
-        lo, hi = -((s - c) // A), (c + s) // A
-        if lo > hi:
-            continue
-        # rows m2 and -m2 split [lo, hi]: neither has a vector with w_2 = 0,
-        # and inside the circle w_2**2 < R4, so nothing bounds w_2 above
-        visited += hi - lo + 1
-        lo, hi = _clip(lo, hi, 2 * x1, 2 * m2 * x2, 1 - x_cap, x_cap - 1)
-        if lo > hi:
-            continue
-        yc = m2 * y2  # w_2 = y1 m1 + yc, doubled
-        # row -m2: -w_2 over w_2 in [1 - x_cap, -1], m1 descending; a clip
-        # left empty (lo > hi) gives an empty range
-        nlo, nhi = _clip(lo, hi, y1, yc, 1 - x_cap, -1)
-        candidates.extend(range(-(y1 * nhi + yc), -(y1 * (nlo - 1) + yc), y1))
-        rows.append((*_clip(lo, hi, y1, yc, 1, x_cap - 1), yc))
-    # row 0 is its own mirror image: m1 s1 for |m1| <= k, w_2 >= 0 on one side
-    k = math.isqrt(AR4 - 1) // A
-    visited += k + 1
-    lo, hi = _clip(-k, k, y1, 0, 1, x_cap - 1)
-    lo, hi = _clip(lo, hi, 2 * x1, 0, 1 - x_cap, x_cap - 1)
-    candidates.extend(range(y1 * lo, y1 * (hi + 1), y1))
-    for lo, hi, yc in reversed(rows):
-        candidates.extend(range(y1 * lo + yc, y1 * (hi + 1) + yc, y1))
+        visited += (c + s) // A + (s - c) // A + 1  # hi - lo + 1 >= 0, as s >= 0
     return EnumerationResult(
-        candidates=candidates, visited=visited, case=2, budget=budget
+        candidates=_triangle(rb, _STRIP, params), visited=visited, case=2, budget=budget
     )
 
 
-# The three triangles of the window (module docstring), in the coordinates
-# (x, y2) of the offset that enumerates them, T = 2**m.  Each is three
-# constraints alpha x + beta y2 >= g0 + gT T and its vertices other than the
-# origin, in units of 2**(m-1).
+# The strip of one offset and the three triangles of the window (module
+# docstring), in the coordinates (x, y2) of the offset that enumerates them,
+# T = 2**m.  Each is its constraints alpha x + beta y2 >= g0 + gT T and its
+# vertices other than the origin, in units of 2**(m-1); the origin is a
+# vertex of each triangle and a point of the strip's lower edge.
+_STRIP = (((2, 0, 1, -1), (-2, 0, 1, -1), (0, 1, 1, 0), (0, -1, 1, -1)),
+          ((-1, 0), (1, 0), (-1, 2), (1, 2)))
 _CONE = (((2, 1, 0, 0), (-2, 1, 1, 0), (0, -1, 1, -1)), ((-1, 2), (1, 2)))
 _LEFT_SLIVER = (((2, 0, 1, -1), (-2, -1, 1, 0), (0, 1, 1, 0)), ((-1, 0), (-1, 2)))
 _RIGHT_SLIVER = (((-2, 0, 1, -1), (2, -1, 0, 0), (0, 1, 1, 0)), ((1, 0), (1, 2)))
@@ -373,16 +327,19 @@ _RIGHT_SLIVER = (((-2, 0, 1, -1), (2, -1, 0, 0), (0, 1, 1, 0)), ((1, 0), (1, 2))
 
 def _triangle(rb: ReducedBasis, region, params: Params) -> list[int]:
     """The second coordinates y2 of the points of rb's lattice in one
-    triangle, in descending order.
+    region, in descending order.  A region is a convex polygon: its
+    constraints and its vertices, which span it together with the origin.
 
     A point (X, Y) = m1 s1 + m2 s2 has m2 = (x1 Y - y1 X) / D, with
-    D = x1 y2 - y1 x2 = +-2**n, so m2's extremes over the triangle are
+    D = x1 y2 - y1 x2 = +-2**n, so m2's extremes over the region are
     at its vertices, and 2**(m-1)/|D| = 2**-(ell+1).  Each constraint
     a m1 + e m2 >= g bounds m1 in every row m2, from below if a > 0 and
-    from above if a < 0.  The triangle is bounded, so s1 and -s1 each
+    from above if a < 0.  The region is bounded, so s1 and -s1 each
     leave it through some constraint: every row is bounded on both
-    sides.  A constraint with a = 0 (a sliver's wall x = +-2**(m-1) when
-    s1 = (0, y)) bounds the rows instead, as then e != 0.
+    sides, by at most two constraints per side, as a triangle has three
+    and the strip's four come in pairs of opposite a.  A constraint with
+    a = 0 (a wall x = +-2**(m-1) when s1 = (0, y)) bounds the rows
+    instead, as then e != 0.
     """
     constraints, vertices = region
     (x1, y1), (x2, y2) = rb.s1, rb.s2

@@ -141,7 +141,8 @@ def post_process(
 
     Never reads params.r; it uses only m, ell and the window half-width B.
     The strategy's candidates of the window j-B..j+B are kept once each,
-    in first-seen order, and those in [1, 2**m) go to the recovery.
+    in first-seen order, and go to the recovery, whose filter skips those
+    outside [1, 2**m).
     The cf and lattice strategies give one candidate per offset, which
     neighbouring offsets often share; enumerate repeats one only where a
     case-1 offset splits the window or when 2B + 1 > 2**ell.  It
@@ -150,12 +151,11 @@ def post_process(
     """
     candidates = dict.fromkeys(STRATEGIES[config.strategy].candidates(j, params))
     top = 1 << config.m
-    in_range = [cand for cand in candidates if 1 <= cand < top]
-    if not in_range:
+    if not any(1 <= cand < top for cand in candidates):
         return None, "no_candidate"
     ctx = _smoothness_context(config.c, config.m)
     solve = recovery.solve_candidate_set(
-        group, g, in_range, ctx, algorithm=config.recovery, meter=meter
+        group, g, candidates, ctx, algorithm=config.recovery, meter=meter
     )
     return solve.order, None
 

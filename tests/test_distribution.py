@@ -545,11 +545,12 @@ class TestForcedFallback:
             assert outcomes == {_offset(i), _offset(i + 1)}
 
     def test_wide_register_walks_in_mpmath(self, fallbacks):
+        # n = 600 three times, and n = 300, just past _FLOAT_WIDTH_LIMIT
         rnd = random.Random(14)
-        for k in range(3):
-            p = Params(r=random_order(rnd, 300), m=300, ell=300)
+        for k, m in enumerate((300, 300, 300, 150)):
+            p = Params(r=random_order(rnd, m), m=m, ell=m)
             assert_draws_match(p, RunConfig.t_max, 40 + k, 1)
-        assert len(fallbacks) == 3
+        assert len(fallbacks) == 4
 
 
 class TestFloatMass:

@@ -648,8 +648,8 @@ class TestBlockCertificate:
         the context, exactly when with_rb."""
         qs = rnd.sample(ctx.primes, 30)
         r = math.prod(q ** (ctx.exponents[q] + rnd.randint(1, 2)) for q in qs[:beyond])
-        if with_rb:
-            r_b = rnd.getrandbits(rnd.randint(30, 90)) | 1
+        if with_rb:  # at most 128 bits with the primes beyond their caps
+            r_b = rnd.getrandbits(min(rnd.randint(30, 90), 128 - r.bit_length())) | 1
             while (common := math.gcd(r_b, ctx.smooth_exponent)) > 1:
                 r_b //= common
             r *= r_b
