@@ -123,7 +123,7 @@ is (x_k, y2) with x_k = x + k y2, x = x_0: the shear.
     y2, so when 2B + 1 <= 2**ell it holds each y2 once.  Candidates
     repeat only across runs (a sliver reaches into the cones past a
     case-1 offset, and 2 |(s1)_2| may be anyone's) and when
-    2B + 1 > 2**ell; post_process drops the repeats.
+    2B + 1 > 2**ell; filter_candidates takes each candidate once.
 The order is for the filter, which is cheaper the earlier it accepts.
 The true vector (alpha0(z)/d, r~/2) has |alpha0(z)/d| <= r~/2, so it
 lies in the cone of its own offset.  The cones come centre-out, where

@@ -27,7 +27,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import bounds, cf, lattice, recovery
 from .distribution import Sampler
@@ -41,12 +41,12 @@ FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 class Strategy(NamedTuple):
     """A solver strategy: a function from the window j-B..j+B to its order
-    candidates, one flat iterable of ints taken centre-out,
+    candidates, one flat list of ints taken centre-out,
     k = 0, +1, -1, ..., +B, -B (by offset for cf and lattice, by the
     window's cones for enumerate: lattice.window_candidates); and the
     elimination mode of the analytic bound covering it."""
 
-    candidates: Callable[[int, Params], Iterable[int]]
+    candidates: Callable[[int, Params], list[int]]
     elimination: str
 
 
@@ -140,8 +140,8 @@ def post_process(
     It never books "budget", which no enumeration can exceed.
 
     Never reads params.r; it uses only m, ell and the window half-width B.
-    The strategy's candidates of the window j-B..j+B are kept once each,
-    in first-seen order, and go to the recovery, whose filter skips those
+    The strategy's candidates of the window j-B..j+B go to the recovery,
+    whose filter takes each once, in first-seen order, and skips those
     outside [1, 2**m).
     The cf and lattice strategies give one candidate per offset, which
     neighbouring offsets often share; enumerate repeats one only where a
@@ -149,7 +149,7 @@ def post_process(
     recovers the order r of g exactly when some in-range candidate c
     alone has recover(group, g, c, ctx) == r.
     """
-    candidates = dict.fromkeys(STRATEGIES[config.strategy].candidates(j, params))
+    candidates = STRATEGIES[config.strategy].candidates(j, params)
     top = 1 << config.m
     if not any(1 <= cand < top for cand in candidates):
         return None, "no_candidate"
@@ -415,24 +415,46 @@ class FactorReport:
 def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int, int] | None:
     """Complete factorization of N from one multiplicative order.
 
-    Uses the ample even multiple R = order * 2**bitlen(N): for random
-    units x, walking x**(odd part of R) through repeated squarings
-    either passes a nontrivial square root of 1 (classic +-1 split) or
-    stalls at x**R != 1, whose gcd with N separates the components whose
-    local order divides R from the rest.  Parts are refined by gcd and
-    reduced by perfect powers and primality until all are prime.  Never
-    factors: it reads only the memoized primality and perfect-power
-    verdicts, which it shares with factorize.
+    Ekerå's complete-factoring post-processing (Quantum Inf. Process. 20,
+    2021).  Let u be the odd part of the order.  For each random x in
+    [2, N - 1] the parts, at first {N}, are refined by gcd(x, N) and by
+    gcd(y_i - 1, N) for each y_i = x**(u 2**i) mod N, i < bitlen(N),
+    stopping at the first y_i = 1.  Parts are reduced by perfect powers
+    and primality until all are prime.  Never factors: it reads only the
+    memoized primality and perfect-power verdicts, which it shares with
+    factorize.
 
-    The walk squares s = v2(R) times and stops at x**R.  Modulo each
-    p**e exactly dividing N, the order of x divides p**(e-1) (p - 1),
-    and v2(p - 1) < bitlen(N) <= v2(R), so x**R and x**(2R) have the same
-    order in that cyclic group, which decides whether each is 1 mod p**i
-    for every i: a further square would change no verdict and no gcd.
+    - bitlen(N) levels suffice.  Modulo each p**e exactly dividing N the
+      units form a cyclic group of order p**(e-1) (p - 1).  Either x**u
+      has order 2**a there, with a <= v2(p - 1) < bitlen(N), and a, the
+      level of x at p, is the first i with y_i = 1 mod p**e; or x**u never
+      reaches 1 there (level infinity).  From i = v2(p - 1) on, y_i has
+      the same odd order mod p**e, and y = 1 mod p**k exactly when that
+      order divides p**(e-k), so no further square changes a gcd.
+    - The law of one x.  For squarefree N, gcd(y_i - 1, N) is the
+      product of the primes of level <= i and gcd(x, N) that of the
+      primes dividing x.  So one unit x groups the primes of N by level,
+      infinity included, and completes the factorization exactly when its
+      levels are pairwise distinct; a non-unit x first parts off the
+      primes it shares with N.
+    - Against the classic split, which walks to the first y_i = 1 and
+      splits on gcd(y_(i-1) -+ 1, N), or on gcd(x**(u 2**s) - 1, N) for
+      some s >= bitlen(N) when no y_i is 1: every gcd it takes is one of
+      these or splits nothing more.  y**2 = 1 makes y = +-1 mod each
+      p**e, so gcd(y + 1, N) is N / gcd(y - 1, N); and the stall's gcd
+      equals that of y_(bitlen(N) - 1) by the first bullet.  For N = pq
+      both separate p and q on exactly the non-units and the units whose
+      levels at p and q differ, so every semiprime's report is the same
+      under both.  For more primes, or a non-squarefree N, these parts
+      refine the classic split's, and refining by d keeps that order
+      (A | B gives gcd(A, d) | gcd(B, d) and A / gcd(A, d) | B / gcd(B, d)),
+      so a factorization the classic split completes after k draws is
+      complete here after at most k.
+    - Every prime of N stays in some part: a split replaces a part by two
+      whose product it is.  So once every part reduces to a prime, those
+      are N's primes, and the exponents counted from N multiply to N.
     """
-    R = order << N.bit_length()
-    s = (R & -R).bit_length() - 1
-    u = R >> s
+    u = order >> ((order & -order).bit_length() - 1)
 
     def split_parts(parts: set[int], d: int) -> set[int]:
         out: set[int] = set()
@@ -457,39 +479,27 @@ def _split_with_order(N: int, order: int, rng: Rng, iterations: int) -> dict[int
         if all(prime for _, prime in map(reduce_part, parts)):
             break
         x = rng.randrange(N - 2) + 2
-        g1 = math.gcd(x, N)
-        if g1 > 1:
-            parts = split_parts(parts, g1)
-            continue
+        gcds = {math.gcd(x, N)}
         y = pow(x, u, N)
-        if y == 1:
-            continue
-        steps = 0
-        while y != 1 and steps < s:
-            prev = y
-            y = (y * y) % N
-            steps += 1
-        if y == 1:
-            # y != 1 before the loop and s >= bitlen(N), so prev is set
-            if prev != N - 1:
-                parts = split_parts(parts, math.gcd(prev - 1, N))
-                parts = split_parts(parts, math.gcd(prev + 1, N))
-        else:
-            parts = split_parts(parts, math.gcd(y - 1, N))
+        for _ in range(N.bit_length()):
+            if y == 1:
+                break
+            gcds.add(math.gcd(y - 1, N))
+            y = y * y % N
+        for d in gcds:
+            parts = split_parts(parts, d)
 
     reduced = [reduce_part(p) for p in parts]
     if not all(prime for _, prime in reduced):
         return None
     out: dict[int, int] = {}
-    for p in {b for b, _ in reduced}:
+    for p in sorted({b for b, _ in reduced}):
         e = 0
         M = N
         while M % p == 0:
             M //= p
             e += 1
         out[p] = e
-    if math.prod(q ** e for q, e in out.items()) != N:
-        return None
     return out
 
 

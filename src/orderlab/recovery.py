@@ -329,9 +329,10 @@ def filter_candidates(
 
     A candidate passes exactly when the order divides r~ times a smooth
     cofactor, so every surviving candidate is worth running recovery on.
-    Returns the survivors, deduplicated in first-seen order, and
-    mu = G * smooth_exponent, a multiple of the order, where G is the gcd
-    of the survivors (mu = 0 when none survives).
+    The candidates are taken once each, in first-seen order.  Returns
+    the survivors, in that order, and mu = G * smooth_exponent, a
+    multiple of the order, where G is the gcd of the survivors (mu = 0
+    when none survives).
 
     The loop runs in two phases.  Until the first acceptance each
     candidate r~ is tested as it is, and the first accepted r~ sets
@@ -345,9 +346,7 @@ def filter_candidates(
     gcd(r~, G) * smooth_exponent, so mu is the same value that
     reducing through mu itself would reach.
 
-    Each candidate is tested at most once: a repeat is skipped, in
-    either phase, whether the first copy was accepted or dismissed.  A
-    reduction equal to a dismissed one is skipped too: every dismissed d
+    A reduction equal to a dismissed one is skipped: every dismissed d
     has r' not dividing d, so a later gcd(r~, G) = d would be rejected
     too, however far G has shrunk.
 
@@ -386,9 +385,9 @@ def filter_candidates(
     G = 0
     dismissed: set[int] = set()
     survivors: list[int] = []
-    rest = iter(candidates)
+    rest = iter(dict.fromkeys(candidates))
     for cand in rest:  # nothing accepted yet
-        if not 1 <= cand < top or cand in dismissed:
+        if not 1 <= cand < top:
             continue
         bits += (cand - 1).bit_length()
         if is_identity(pow_(x, cand)):
@@ -396,7 +395,6 @@ def filter_candidates(
             survivors.append(cand)
             break
         dismissed.add(cand)
-    tested = {*dismissed, *survivors}
     rest = list(rest)
     if len(rest) < _BLOCK:
         Gs, Gb, blocks = G, 1, (rest,)
@@ -408,9 +406,8 @@ def filter_candidates(
         for cand in block:
             reduced = math.gcd(cand, H)
             # most reductions are a dismissed 1, so that skip comes first
-            if reduced in dismissed or not 1 <= cand < top or cand in tested:
+            if reduced in dismissed or not 1 <= cand < top:
                 continue
-            tested.add(cand)
             bits += (reduced - 1).bit_length()
             if is_identity(pow_(x, reduced)):
                 G = H = reduced

@@ -626,6 +626,7 @@ class TestFactorCompletely:
         from orderlab.factorint import is_probable_prime
 
         assert all(is_probable_prime(p) for p in rep.factors)
+        assert list(rep.factors) == sorted(rep.factors)
 
     def test_prime_power_times_prime(self):
         rep = factor_completely(45, seed=3)
@@ -704,3 +705,85 @@ class TestFactorCompletely:
     def test_golden_report(self, N, seed, split_iterations, want):
         rep = factor_completely(N, seed, split_iterations=split_iterations)
         assert dumps_report(rep.to_dict()) == want
+
+
+class StubRng:
+    """Stands in for the split's Rng: randrange(N - 2) + 2 draws the given
+    xs in turn."""
+
+    def __init__(self, *xs: int):
+        self.xs = iter(xs)
+
+    def randrange(self, n: int) -> int:
+        return next(self.xs) - 2
+
+
+def level(x: int, u: int, p: int) -> int | None:
+    """The level of the unit x at the prime p: the least i with
+    x**(u 2**i) = 1 mod p, or None when there is none (infinity), read
+    off the order of x**u mod p, which is found by stepping through its
+    powers."""
+    base = pow(x, u, p)
+    y, k = base, 1
+    while y != 1:
+        y, k = y * base % p, k + 1
+    return k.bit_length() - 1 if k & (k - 1) == 0 else None
+
+
+def odd_part(k: int) -> int:
+    return k >> ((k & -k).bit_length() - 1)
+
+
+class TestSplitLevels:
+    """The split's law for one x (the _split_with_order docstring): a unit
+    x groups the primes of a squarefree N by level, and completes the
+    factorization with one draw exactly when its levels are pairwise
+    distinct."""
+
+    MODULI = (15, 21, 33, 35, 105, 255, 561, 1105, 1155, 15015)
+
+    @pytest.mark.parametrize("N", MODULI)
+    def test_one_x_completes_exactly_on_distinct_levels(self, N):
+        want = factorize(N)
+        lam = carmichael_value(want)
+        orders = [lam] + [lam // q for q in factorize(lam) if q > 2]
+        for order in orders:
+            u = odd_part(order)
+            for x in range(2, N):
+                if math.gcd(x, N) != 1:
+                    continue
+                levels = [level(x, u, p) for p in want]
+                distinct = len(set(levels)) == len(levels)
+                got = _split_with_order(N, order, StubRng(x), 1)
+                assert got == (want if distinct else None), (order, x, levels)
+                assert got is None or list(got) == sorted(got)
+
+    @pytest.mark.parametrize("N", MODULI)
+    def test_half_the_units_separate_each_pair(self, N):
+        # the paper's pairwise lemma at order lambda(N), counted through the
+        # split itself: by CRT the units of N fall evenly on those of pq, and
+        # the levels at p and q read x mod p and mod q alone, so the share of
+        # units of N that separate p and q is that of the units of pq that
+        # one draw of the split at pq completes (x = 1 separates nothing)
+        lam = carmichael_value(factorize(N))
+        for p, q in itertools.combinations(sorted(factorize(N)), 2):
+            M = p * q
+            separating = sum(
+                _split_with_order(M, lam, StubRng(x), 1) is not None
+                for x in range(2, M) if math.gcd(x, M) == 1
+            )
+            assert 2 * separating >= (p - 1) * (q - 1), (p, q, separating)
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            (3, {3: 2, 5: 1}),  # gcd 3 parts off 15, whose 5 has level 2
+            (6, {3: 2, 5: 1}),  # gcd 3 parts off 15, whose 5 has level 0
+            (5, {3: 2, 5: 1}),  # gcd 5 leaves 9, a power of 3
+            (15, None),  # gcd 15 leaves 3 and 15; every x**(u 2**i) is 0 mod 5
+        ],
+    )
+    def test_non_unit_x(self, x, want):
+        # lambda(45) = 12, u = 3: a non-unit is split by gcd(x, N) and by
+        # the levels of the primes it misses, with the same one draw
+        assert _split_with_order(45, 12, StubRng(x), 1) == want
