@@ -18,15 +18,20 @@ Carmichael values of its moduli, and test semiprimes up to a hundred
 bits or so.
 
 Lehman's theorem (R. S. Lehman, "Factoring large integers", Math. Comp.
-28 (1974), 637-646): let v > 21 be composite with no prime factor at or
-below v**(1/3).  Then some k with 1 <= k <= v**(1/3) + 1 and some
-integer a with s = sqrt(4 k v) <= a <= s + v**(1/6) / (4 sqrt(k)) make
-a**2 - 4 k v = b**2 a square, and 1 < gcd(a + b, v) < v.
+28 (1974), 637-646), in its form with an integer r, 1 <= r < v**(1/2):
+let v = p q be odd, with primes p <= q and p > (v / (r + 1))**(1/2).
+Then some k with 1 <= k <= r and some integer a with s = sqrt(4 k v)
+<= a <= s + (v / k)**(1/2) / (4 (r + 1)) make a**2 - 4 k v = b**2 a
+square, and 1 < gcd(a + b, v) < v.  _lehman takes r = floor(v**(1/3)).
+A composite v with no prime factor at or below v**(1/3) is such a p q,
+since three such primes multiply to more than v, and r + 1 > v**(1/3)
+gives p > v**(1/3) > (v / (r + 1))**(1/2) and a range of a within
+s <= a <= s + v**(1/6) / (4 sqrt(k)).
 
 _lehman is exact for v < 2**50.  Trial division up to v**(1/3) < 2**17
 runs in float64: when p divides v < 2**53 the quotient v / p is an
 exact integer, and a quotient that rounds to an integer is confirmed in
-Python ints.  The sweep over k = 1..floor(v**(1/3)) + 1, with
+Python ints.  The sweep over k = 1..floor(v**(1/3)), with
 s = sqrt(4 k v) < 2**35 and eps = 2**-10:
 
   * Since (a - s)(a + s) = a**2 - 4 k v, a <= s + v**(1/6) / (4 sqrt(k))
@@ -184,7 +189,7 @@ def _lehman(v: int) -> int:
     power and has no prime factor below 2**10, by Lehman's method.
 
     Trial division by the primes up to v**(1/3) returns the least prime
-    factor there.  Otherwise the sweep runs over k = 1..floor(v**(1/3)) + 1
+    factor there.  Otherwise the sweep runs over k = 1..floor(v**(1/3))
     in blocks and returns the first proper gcd(a + b, v), in (k, a)
     order, with a**2 - 4 k v = b**2 <= D.  The module docstring shows
     that these a hold Lehman's range and that each test is exact.
@@ -200,7 +205,7 @@ def _lehman(v: int) -> int:
                 return p
     four_v = 4 * v
     D = int(v ** (2 / 3) + v ** (1 / 3) / 16) + 1
-    k, k_end = 1, third + 2
+    k, k_end = 1, third + 1
     while k < k_end:
         cols = int(D / (2 * math.sqrt(k * four_v)) + 2 * _EPS) + 1
         ks = np.arange(k, min(k + _BLOCK // cols, k_end), dtype=np.uint64)
@@ -220,9 +225,8 @@ def _lehman(v: int) -> int:
 
 
 def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int | None:
-    """One Brent-cycle attempt; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
+    """One Brent-cycle attempt on an odd n (factorize has divided out 2);
+    returns a nontrivial factor or None."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -284,9 +288,7 @@ def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
     rng = random.Random(n ^ 0xD1B54A32D192ED03)
     stack = [n]
     while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
+        v = stack.pop()  # > 1: n and every split part are
         if is_probable_prime(v):
             out[v] = out.get(v, 0) + 1
             continue

@@ -334,11 +334,12 @@ def filter_candidates(
     multiple of the order, where G is the gcd of the survivors (mu = 0
     when none survives).
 
-    The loop runs in two phases.  Until the first acceptance each
-    candidate r~ is tested as it is, and the first accepted r~ sets
-    G = r~.  From then on each candidate is tested through the exponent
-    gcd(r~, G), at most m bits, and an acceptance sets G to it.  This
-    gives the same verdicts.  With r the order of g, x has order
+    Each candidate r~ is tested through the exponent gcd(r~, G), where G
+    is the gcd of the candidates accepted so far, and an acceptance sets
+    G to it.  G = 0 until the first acceptance, and gcd(r~, 0) = r~, so
+    until then each candidate is tested as it is; from then on the
+    exponent has at most m bits.  This gives the verdicts of testing r~
+    itself.  With r the order of g, x has order
     r' = r / gcd(r, smooth_exponent), and r~ passes exactly when r' | r~.
     Every accepted candidate is a multiple of r', so G is too, and
     r' | gcd(r~, G) exactly when r' | r~.  The smooth exponent need not
@@ -350,16 +351,21 @@ def filter_candidates(
     has r' not dividing d, so a later gcd(r~, G) = d would be rejected
     too, however far G has shrunk.
 
-    The second phase finds most gcd(r~, G) without a gcd against G.
-    It keeps G = Gs * Gb with coprime Gs and Gb, and takes the candidates
-    in blocks of _BLOCK.  A block whose product P has gcd(P, Gb) = 1 is
-    certified: it reduces each candidate through Gs alone.  Any other
-    block reduces through G.  When at least one whole block remains, Gs
-    is the part of G made of the context's primes, a few bits long, and
-    Gb, the rest, is prime to almost every block's product.  Otherwise
-    Gs = G and Gb = 1, which certifies every block without a product.
-    Every reduction equals gcd(r~, G), so every tested exponent,
-    verdict, survivor, mu and metered bit is the same, by three facts:
+    Most gcd(r~, G) are found without a gcd against G.  The loop keeps
+    G = Gs * Gb with coprime Gs and Gb, and takes the candidates in
+    blocks of _BLOCK from the start of the list.  A block whose product
+    P has gcd(P, Gb) = 1 is certified: it reduces each candidate through
+    Gs alone.  Any other block reduces through G.  Until the first whole
+    block that starts after the first acceptance, Gs = G and Gb = 1
+    (G = 0 before the first acceptance), which certifies every block
+    without a product.  At that block, once per call, G is split: Gs
+    becomes the part of G made of the context's primes, a few bits long,
+    and Gb the rest, which is prime to almost every block's product.  So
+    G is never split when fewer than _BLOCK candidates follow the first
+    acceptance, as in one window's 2B + 1 cf candidates.  Every
+    reduction equals gcd(r~, G), so every tested exponent, verdict,
+    survivor, mu and metered bit is the same, by three facts, which hold
+    at G = Gs = 0, Gb = 1 too, since every number divides 0:
 
     - gcd(c, G) = gcd(c, Gs) * gcd(c, Gb).  A prime p dividing G divides
       exactly one of the coprime Gs and Gb, and the power of p in
@@ -382,26 +388,17 @@ def filter_candidates(
     x = pow_(g, smooth)
     bits = (smooth - 1).bit_length()
     top = 1 << ctx.m
-    G = 0
+    G = Gs = 0
+    Gb = 1
+    split = False
     dismissed: set[int] = set()
     survivors: list[int] = []
-    rest = iter(dict.fromkeys(candidates))
-    for cand in rest:  # nothing accepted yet
-        if not 1 <= cand < top:
-            continue
-        bits += (cand - 1).bit_length()
-        if is_identity(pow_(x, cand)):
-            G = cand
-            survivors.append(cand)
-            break
-        dismissed.add(cand)
-    rest = list(rest)
-    if len(rest) < _BLOCK:
-        Gs, Gb, blocks = G, 1, (rest,)
-    else:
-        Gs, Gb = _split_smooth(G, smooth)
-        blocks = (rest[i : i + _BLOCK] for i in range(0, len(rest), _BLOCK))
-    for block in blocks:
+    cands = list(dict.fromkeys(candidates))
+    for i in range(0, len(cands), _BLOCK):
+        block = cands[i : i + _BLOCK]
+        if G and not split and len(block) == _BLOCK:
+            Gs, Gb = _split_smooth(G, smooth)
+            split = True
         H = Gs if Gb == 1 or _prime_to(block, Gb) else G
         for cand in block:
             reduced = math.gcd(cand, H)

@@ -265,14 +265,14 @@ def reference_factorize(n: int) -> dict[int, int]:
 def reference_lehman(v: int) -> tuple[int, int, int]:
     """_lehman in Python ints, as (k, a, factor): the least prime factor
     in (2**10, v**(1/3)] with k = a = 0, else the first proper
-    gcd(a + b, v) in (k, a) order over k = 1..floor(v**(1/3)) + 1 and
+    gcd(a + b, v) in (k, a) order over k = 1..floor(v**(1/3)) and
     the a >= sqrt(4 k v) with a**2 - 4 k v = b**2 <= D."""
     third = iroot(v, 3)
     for p in range(1 << 10, third + 1):
         if v % p == 0:
             return 0, 0, p
     D = int(v ** (2 / 3) + v ** (1 / 3) / 16) + 1
-    for k in range(1, third + 2):
+    for k in range(1, third + 1):
         a = math.isqrt(4 * k * v - 1) + 1
         while (d := a * a - 4 * k * v) <= D:
             b = math.isqrt(d)

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderlab import recovery
 from orderlab.factorint import factorize
 from orderlab.lattice import reduce_window, window_candidates
 from orderlab.model import ModNGroup, Params, Rng, SimulatedGroup, peak
@@ -636,9 +637,10 @@ class TestMeterOracle:
 
 
 class TestBlockCertificate:
-    """filter_candidates' second phase, which reduces a block of candidates
-    through the context's part Gs of G once the product of the block is
-    prime to the rest Gb, pinned to the per-candidate reference at m = 128."""
+    """filter_candidates' block certificate, which reduces a block of
+    candidates through the context's part Gs of G once the product of the
+    block is prime to the rest Gb, pinned to the per-candidate reference
+    at m = 128."""
 
     @staticmethod
     def order(ctx: SmoothnessContext, beyond: int, with_rb: bool, rnd: random.Random) -> int:
@@ -762,6 +764,64 @@ class TestBlockCertificate:
                 counts.append((filt(group, 1, candidates, ctx, meter), meter.total_bits, group.powers))
             assert counts[0] == counts[1]
             assert counts[0][0][0]  # the peak's candidates hold a survivor
+
+    @pytest.mark.parametrize("first", [0, 1, 62, 63, 64, 65, 127, 128])
+    @pytest.mark.parametrize("after", [0, 1, 63, 64, 65, 130, 200])
+    def test_first_survivor_at_each_block_position(self, first, after, monkeypatch):
+        # blocks start at the list's start, so the first acceptance may
+        # fall anywhere in a block; G is split at the first whole block
+        # after it, once, and never with fewer than _BLOCK candidates after it
+        ctx = SmoothnessContext.build(10.0, 128)
+        rnd = random.Random(first * 1000 + after)
+        group = SimulatedGroup(self.order(ctx, 1, True, rnd))
+        r_prime = group.r // math.gcd(group.r, ctx.smooth_exponent)
+        top = 1 << ctx.m
+        before: list[int] = []  # out of range or dismissed, with repeats
+        while len(dict.fromkeys(before)) < first:
+            before.append(rnd.choice((
+                -rnd.randrange(top), top + rnd.randrange(top), 0, rnd.randrange(1, top),
+                *before[-3:],
+            )))
+        tail = [rnd.choice((r_prime * rnd.randrange(1, top // r_prime), rnd.randrange(1, top),
+                            -rnd.randrange(1, top)))
+                for _ in range(after)]
+        candidates = before + [r_prime * rnd.randrange(1, top // r_prime)] + tail
+        distinct = list(dict.fromkeys(candidates))
+        assert distinct.index(candidates[len(before)]) == first
+        splits = []
+
+        def spy(G, smooth):
+            splits.append(G)
+            return _split_smooth(G, smooth)
+
+        monkeypatch.setattr(recovery, "_split_smooth", spy)
+        survivors, _ = assert_meters_like_reference(
+            filter_candidates, reference_filter_candidates, group, 1, candidates, ctx
+        )
+        assert survivors[0] == candidates[len(before)]
+        splits.clear()
+        filter_candidates(group, 1, candidates, ctx)
+        next_block = (first // _BLOCK + 1) * _BLOCK
+        assert len(splits) == (next_block + _BLOCK <= len(distinct))
+        if len(distinct) - first - 1 < _BLOCK:
+            assert not splits
+
+    @pytest.mark.parametrize("length", [2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_blocks_without_a_survivor(self, length, monkeypatch):
+        ctx = SmoothnessContext.build(10.0, 128)
+        rnd = random.Random(length)
+        group = SimulatedGroup(self.order(ctx, 2, True, rnd))
+        top = 1 << ctx.m
+        candidates = [rnd.choice((rnd.randrange(1, top), top + rnd.randrange(top), -rnd.randrange(top)))
+                      for _ in range(length)]
+        assert len(set(candidates)) == length
+        splits = []
+        monkeypatch.setattr(recovery, "_split_smooth", lambda *args: splits.append(args))
+        survivors, mu = assert_meters_like_reference(
+            filter_candidates, reference_filter_candidates, group, 1, candidates, ctx
+        )
+        assert (survivors, mu) == ([], 0)
+        assert not splits
 
 
 class TestTreePruning:

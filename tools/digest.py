@@ -15,20 +15,26 @@ print the same digests for a seed produced the same outputs, bit for bit.
     `orderlab factor` prints, whose factors are sorted: a change in the
     key order of FactorReport.factors alone moves the first two digests
     but not this one.
+  - mc_cf_lattice (3000): mc_cf's inputs run with the lattice strategy,
+    digested as mc_cf is.
   - dist_exact (100): each op's two arrays, closed form then brute force,
     fed as the significant bytes of each long double (10 of the 16 that
     x86-64 stores; the rest is padding that numpy leaves undefined).
 
-It also digests `orderlab factor` (cli.main, in process) on CLI_MODULI:
-each command's argv, exit status, stdout and stderr, once with
---split-iterations 1 and once with the default.  These do not depend on
-the seed.
+It also digests CLI commands run through cli.main in process: for each
+command, its argv, exit status, stdout and stderr.
+  - `orderlab factor` on CLI_MODULI, once with --split-iterations 1 and
+    once with the default; these do not depend on the seed.
+  - `orderlab simulate` for every strategy at m = 32 and 128, as JSON
+    and as CSV, and `orderlab sample` at m = 8, 32 and 128, seeded by S.
+  - `orderlab bound` in each of its forms, and `orderlab table1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -38,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-OPS = {"mc_cf": 3000, "mc_enumerate": 150, "factor": 240, "dist_exact": 100}
+OPS = {"mc_cf": 3000, "mc_enumerate": 150, "factor": 240, "mc_cf_lattice": 3000, "dist_exact": 100}
 # (N, seed, run flags) of the `orderlab factor` commands: the semiprimes at
 # seeds 0, 1 and 3 and at seed 5 with two other strategies, then moduli of
 # three primes at seeds 0-3
@@ -82,18 +88,64 @@ def digest(workload, seed: int, n: int) -> dict:
     return result
 
 
-def cli_digest(split_flags: tuple[str, ...]) -> dict:
-    """The digest of every CLI_MODULI command run with split_flags."""
+def with_lattice(mc_cf):
+    """The mc_cf workload with the lattice strategy: it keeps the name
+    mc_cf, which seeds its inputs, so it runs mc_cf's op list."""
+    config = dataclasses.replace(mc_cf.config, strategy="lattice")
+    return type(mc_cf)(mc_cf.name, mc_cf.rate, config, rho_log2=-(config.m + config.ell) / 2)
+
+
+def factor_commands(split_flags: tuple[str, ...]) -> list[list[str]]:
+    return [["factor", "--N", str(N), "--seed", str(seed), *flags, *split_flags]
+            for N, seed, flags in CLI_MODULI]
+
+
+def simulate_commands(seed: int) -> list[list[str]]:
+    """Each strategy at m = 32 (ell = 28) and m = 128 (ell = 120 for
+    enumerate, 128 otherwise), as JSON and as CSV."""
+    runs = [
+        *((32, 28, strategy, recovery, 200) for strategy, recovery in
+          (("cf", "stack"), ("lattice", "stack"), ("enumerate", "tree"))),
+        (128, 128, "cf", "stack", 100),
+        (128, 128, "lattice", "stack", 100),
+        (128, 120, "enumerate", "tree", 30),
+    ]
+    return [["simulate", "--m", str(m), "--ell", str(ell), "--strategy", strategy,
+             "--recovery", recovery, "--trials", str(trials), "--seed", str(seed),
+             "--format", fmt]
+            for m, ell, strategy, recovery, trials in runs for fmt in ("json", "csv")]
+
+
+def sample_commands(seed: int) -> list[list[str]]:
+    orders = ((13, 8, 8, 50), ((1 << 31) + 11, 32, 28, 50), ((1 << 127) + 45, 128, 128, 20),
+              (13, 8, 8, 0))
+    return [["sample", "--r", str(r), "--m", str(m), "--ell", str(ell), "--trials", str(trials),
+             "--seed", str(seed)] for r, m, ell, trials in orders]
+
+
+BOUND_COMMANDS = [
+    ["bound", "--m", "128", "--ell", "128"],
+    ["bound", "--m", "128", "--ell", "128", "--elimination", "pow2ell"],
+    ["bound", "--m", "32", "--ell", "28", "--B", "5", "--c", "2.5"],
+    ["bound", "--m", "128", "--delta", "8"],
+    ["bound", "--l", "48"],
+    ["bound", "--l", "2048", "--n-primes", "3", "--k", "20", "--sigma", "10"],
+    ["bound", "--m", "128"],  # no --ell or --delta: a usage error, exit 2
+    ["table1"],
+]
+
+
+def cli_digest(commands: list[list[str]]) -> dict:
+    """The digest of every command run through cli.main."""
     from orderlab import cli
 
     h = hashlib.sha256()
-    for N, seed, flags in CLI_MODULI:
-        argv = ["factor", "--N", str(N), "--seed", str(seed), *flags, *split_flags]
+    for argv in commands:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             status = cli.main(argv)
         h.update(repr((argv, status, stdout.getvalue(), stderr.getvalue())).encode())
-    return {"commands": len(CLI_MODULI), "sha256": h.hexdigest()}
+    return {"commands": len(commands), "sha256": h.hexdigest()}
 
 
 def main(argv: list[str]) -> int:
@@ -104,11 +156,15 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
+    workloads = {**WORKLOADS, "mc_cf_lattice": with_lattice(WORKLOADS["mc_cf"])}
     print(json.dumps({
         "seed": args.seed,
-        **{name: digest(WORKLOADS[name], args.seed, n) for name, n in OPS.items()},
-        "cli_factor_split_iterations_1": cli_digest(("--split-iterations", "1")),
-        "cli_factor_default": cli_digest(()),
+        **{name: digest(workloads[name], args.seed, n) for name, n in OPS.items()},
+        "cli_factor_split_iterations_1": cli_digest(factor_commands(("--split-iterations", "1"))),
+        "cli_factor_default": cli_digest(factor_commands(())),
+        "cli_simulate": cli_digest(simulate_commands(args.seed)),
+        "cli_sample": cli_digest(sample_commands(args.seed)),
+        "cli_bound_table1": cli_digest(BOUND_COMMANDS),
     }, indent=1))
     return 0
 
