@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .model import ParameterError, Params
+from .model import Params
 
 REFERENCE_B_COLUMNS = (1, 10, 100, 1000, 10 ** 4, 10 ** 5)
 REFERENCE_C_ROWS = (1, 10, 25, 100, 250, 500, 1000)
@@ -33,27 +33,20 @@ def relative_error_bound(B: int, prec: int = _PREC) -> mpmath.mpf:
         (1/pi^2) * (2/B + 1/B^2 + 1/(3 B^3)).
     """
     if B < 1:
-        raise ParameterError(f"B must be >= 1, got {B}")
+        raise ValueError(f"B must be >= 1, got {B}")
     with mpmath.workprec(prec):
         b = mpmath.mpf(B)
         return (2 / b + 1 / b ** 2 + 1 / (3 * b ** 3)) / mpmath.pi ** 2
 
 
-def approx_error_bound(params: Params, variant: str = "strict") -> mpmath.mpf:
-    """Pointwise bound on |P - approx_prob|.
+def approx_error_bound(params: Params) -> mpmath.mpf:
+    """Pointwise bound on |P - approx_prob|:
 
-    'strict' keeps the width-dependent second term,
-        (pi^2 / 2**n) * (3/4 + (r / 2**n) / 12);
-    'loose' is the simpler envelope pi^2 / 2**n.  Both are exposed
-    because consumers trade tightness for simplicity differently.
+        (pi^2 / 2**n) * (3/4 + (r / 2**n) / 12).
     """
     with mpmath.workprec(params.n + 32):
         scale = mpmath.mpf(2) ** (-params.n)
-        if variant == "loose":
-            return mpmath.pi ** 2 * scale
-        if variant == "strict":
-            return mpmath.pi ** 2 * scale * (mpmath.mpf(3) / 4 + params.r * scale / 12)
-        raise ValueError(f"unknown variant {variant!r}")
+        return mpmath.pi ** 2 * scale * (mpmath.mpf(3) / 4 + params.r * scale / 12)
 
 
 def window_mass_lower_bound(params: Params, B: int) -> mpmath.mpf:
@@ -69,7 +62,7 @@ def window_mass_lower_bound(params: Params, B: int) -> mpmath.mpf:
 def smoothness_bound(c: float, m: int) -> mpmath.mpf:
     """Lower bound 1 - 1/(c log2(c m)) on drawing a c*m-smooth cofactor."""
     if c < 1 or c * m < 2:
-        raise ParameterError(f"need c >= 1 and c*m >= 2, got c={c}, m={m}")
+        raise ValueError(f"need c >= 1 and c*m >= 2, got c={c}, m={m}")
     with mpmath.workprec(_PREC):
         return 1 - 1 / (c * mpmath.log(mpmath.mpf(c) * m, 2))
 
@@ -104,7 +97,7 @@ def single_run_success_bound(
 def enumeration_budget(delta: int) -> int:
     """ceil(6 sqrt(3) * 2**delta), computed exactly as ceil(sqrt(108 * 4**delta))."""
     if delta < 0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
+        raise ValueError(f"delta must be >= 0, got {delta}")
     v = 108 * 4 ** delta
     s = math.isqrt(v)
     return s + 1  # 108 * 4**delta is never a perfect square
@@ -117,7 +110,7 @@ def lattice_success_bound(m: int, delta: int, B: int, c: float) -> tuple[mpmath.
     """
     ell = m - delta
     if ell < 1:
-        raise ParameterError(f"delta={delta} leaves no fractional register (m={m})")
+        raise ValueError(f"delta={delta} leaves no fractional register (m={m})")
     return (
         single_run_success_bound(m, ell, B, c, elimination="pow2ell"),
         enumeration_budget(delta),
@@ -147,9 +140,9 @@ def factoring_success_bound(
     """
     m = l - 1
     if m < 2:
-        raise ParameterError(f"modulus bit length l={l} too small")
+        raise ValueError(f"modulus bit length l={l} too small")
     if k < 0 or n_primes < 2 or sigma < 1:
-        raise ParameterError(
+        raise ValueError(
             f"need k >= 0, n_primes >= 2 and sigma >= 1, got {k=}, {n_primes=}, {sigma=}"
         )
     if delta is None:
@@ -157,7 +150,7 @@ def factoring_success_bound(
     else:
         ell, elimination = m - delta, "pow2ell"
         if ell < 1:
-            raise ParameterError(f"delta={delta} too large for l={l}")
+            raise ValueError(f"delta={delta} too large for l={l}")
     pairs = n_primes * (n_primes - 1) // 2
     with mpmath.workprec(_PREC):
         return single_run_success_bound(m, ell, B, c, elimination) * (
@@ -199,14 +192,14 @@ def dyadic_band_bound(t: int, m: int) -> Fraction:
     2**m, the second additionally uses that the order has full length m.
     """
     if t < 1 or m < 1:
-        raise ParameterError(f"need t >= 1 and m >= 1, got t={t}, m={m}")
+        raise ValueError(f"need t >= 1 and m >= 1, got t={t}, m={m}")
     return min(Fraction(2) ** (m - t), Fraction(2) ** (t + 3 - m))
 
 
 def trigamma_upper(x: float) -> float:
     """Strict upper bound 1/x + 1/(2 x^2) + 1/(6 x^3) on trigamma(x), x > 0."""
     if x <= 0:
-        raise ParameterError(f"x must be positive, got {x}")
+        raise ValueError(f"x must be positive, got {x}")
     return 1.0 / x + 1.0 / (2.0 * x * x) + 1.0 / (6.0 * x ** 3)
 
 
@@ -218,7 +211,7 @@ def trigamma_reference(x: float, terms: int = 10 ** 6) -> float:
     result sits below the true value by less than 1e-12 for x <= 1e3.
     """
     if x <= 0:
-        raise ParameterError(f"x must be positive, got {x}")
+        raise ValueError(f"x must be positive, got {x}")
     k = np.arange(terms, dtype=np.float64)
     partial = float(np.sum(1.0 / (x + k[::-1]) ** 2))  # small terms first
     return partial + 1.0 / (x + terms)
@@ -261,7 +254,7 @@ class CosMargins:
 
 def cos_inequalities(phi: float) -> CosMargins:
     if not -math.pi <= phi <= math.pi:
-        raise ParameterError(f"phi={phi} outside [-pi, pi]")
+        raise ValueError(f"phi={phi} outside [-pi, pi]")
     one_minus_cos = 2.0 * math.sin(phi / 2.0) ** 2
     p2 = phi * phi
     return CosMargins(
@@ -276,17 +269,6 @@ def carmichael_value(factorization: dict[int, int]) -> int:
     lam = 1
     for p, e in factorization.items():
         if p < 3 or p % 2 == 0 or e < 1:
-            raise ParameterError(f"need odd primes with positive exponents, got {p}^{e}")
+            raise ValueError(f"need odd primes with positive exponents, got {p}^{e}")
         lam = math.lcm(lam, p ** (e - 1) * (p - 1))
     return lam
-
-
-def carmichael_check(factorization: dict[int, int]) -> bool:
-    """Exact check that the group exponent of N is below 2**(1-n) N,
-    where n is the number of distinct prime factors (n >= 2 required)."""
-    n = len(factorization)
-    if n < 2:
-        raise ParameterError("need at least two distinct prime factors")
-    N = math.prod(p ** e for p, e in factorization.items())
-    lam = carmichael_value(factorization)
-    return (1 << (n - 1)) * lam < N

@@ -96,9 +96,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     print("z,t,j,tail")
     for _ in range(args.trials):
         s = sampler.sample(rng)
-        t = "" if s.t is None else s.t
-        j = "" if s.j is None else s.j
-        print(f"{s.z},{t},{j},{'true' if s.tail else 'false'}")
+        if s.t is None:
+            print(f"{s.z},,,true")
+        else:
+            print(f"{s.z},{s.t},{s.j},false")
     return 0
 
 

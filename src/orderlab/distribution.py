@@ -382,15 +382,15 @@ def window_mass(z: int, params: Params, B: int) -> mpmath.mpf:
 class SampleResult:
     """One simulated measurement: frequency j at offset t from peak z.
 
-    tail=True marks a draw whose cumulative mass was not reached within
-    the configured offset budget; consumers treat it as a failed run, so
-    empirical success rates remain valid lower estimates.
+    t = j = None marks a tail: a draw whose cumulative mass was not
+    reached within the configured offset budget.  Consumers treat it as
+    a failed run, so empirical success rates remain valid lower
+    estimates.
     """
 
     z: int
     t: int | None
     j: int | None
-    tail: bool
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -543,5 +543,5 @@ class Sampler:
         if t is _UNDECIDED:
             t = _mpmath_walk(pk.alpha0, U, bits, params, self.t_cap)
         if t is None:
-            return SampleResult(z=z, t=None, j=None, tail=True)
-        return SampleResult(z=z, t=t, j=(pk.j0 + t) % params.two_n, tail=False)
+            return SampleResult(z=z, t=None, j=None)
+        return SampleResult(z=z, t=t, j=(pk.j0 + t) % params.two_n)

@@ -138,7 +138,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import bounds
 from .model import Params, centre_out, check_window
 
 
@@ -245,14 +244,15 @@ class EnumerationResult:
     """Candidates from enumerating short vectors around a reduced basis.
 
     candidates are distinct, in descending order; visited counts the
-    vectors w = m1 s1 + m2 s2 inside the circle with w_2 >= 0.
-    case 1 means the single reduced vector already decided the answer.
+    vectors w = m1 s1 + m2 s2 inside the circle with w_2 >= 0, never
+    more than bounds.enumeration_budget(max(0, m - ell)) (module
+    docstring).  case 1 means the single reduced vector already decided
+    the answer.
     """
 
     candidates: list[int]
     visited: int
     case: int
-    budget: int
 
 
 def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> EnumerationResult:
@@ -282,20 +282,14 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     off row 0.  Row 0 adds the k + 1 vectors m1 s1 with w_2 >= 0 and
     |m1| <= k, the largest k with (A k)**2 < A R4, R4 = 2**(2m+1).  The
     count never exceeds the budget ceil(6 sqrt(3) 2**delta),
-    delta = m - ell (module docstring), returned with it.
+    delta = max(0, m - ell) (module docstring).
     """
     m = params.m
-    budget = bounds.enumeration_budget(max(0, m - params.ell))
     A = norm4(rb.s1)
 
     # case 1: lambda2_perp >= 2**(m - 1/2), i.e. 2**(2n) / A >= 2**(2m-1)
     if 1 << (2 * params.n) >= A << (2 * m - 1):
-        return EnumerationResult(
-            candidates=[abs(rb.s1.y2)],
-            visited=1,
-            case=1,
-            budget=budget,
-        )
+        return EnumerationResult(candidates=[abs(rb.s1.y2)], visited=1, case=1)
 
     Bc = dot4(rb.s1, rb.s2)
     AR4 = A << (2 * m + 1)  # A R4, where norm4(w) < R4  <=>  |w| < 2**(m - 1/2)
@@ -308,9 +302,7 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
         s = math.isqrt(AR4 - ((m2 * m2) << det_shift) - 1)  # s**2 < disc
         c = -Bc * m2
         visited += (c + s) // A + (s - c) // A + 1  # hi - lo + 1 >= 0, as s >= 0
-    return EnumerationResult(
-        candidates=_triangle(rb, _STRIP, params), visited=visited, case=2, budget=budget
-    )
+    return EnumerationResult(candidates=_triangle(rb, _STRIP, params), visited=visited, case=2)
 
 
 # The strip of one offset and the three triangles of the window (module

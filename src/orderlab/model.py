@@ -2,9 +2,9 @@
 
 Everything downstream works relative to a frequency register of width
 m + ell bits for a generator of (known or unknown) order r.  The model
-layer owns the exact integer conventions: the signed residue, the
-round-half-up rule used to place distribution peaks, and the derived
-quantities beta, L and the floor of B_max.
+layer owns the exact integer conventions: the round-half-up rule used
+to place distribution peaks, and the derived quantities beta, L and the
+floor of B_max.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-class ParameterError(ValueError):
-    """Constructor argument violates a documented precondition."""
 
 
 def round_half_up(x) -> int:
@@ -30,14 +26,6 @@ def round_half_up(x) -> int:
     if isinstance(x, float):
         return math.floor(x + 0.5)
     return math.floor(x + Fraction(1, 2))
-
-
-def signed_residue(u: int, modulus: int) -> int:
-    """Representative of u mod modulus in [-modulus/2, modulus/2)."""
-    v = u % modulus
-    if 2 * v >= modulus:
-        v -= modulus
-    return v
 
 
 @dataclass(frozen=True)
@@ -56,17 +44,17 @@ class Params:
 
     def __post_init__(self):
         if self.r < 2:
-            raise ParameterError(f"order r must be >= 2, got {self.r}")
+            raise ValueError(f"order r must be >= 2, got {self.r}")
         if self.m < 1 or (1 << self.m) <= self.r:
-            raise ParameterError(f"need 2**m > r, got m={self.m}, r={self.r}")
+            raise ValueError(f"need 2**m > r, got m={self.m}, r={self.r}")
         if self.ell < 1:
-            raise ParameterError(f"ell must be >= 1, got {self.ell}")
+            raise ValueError(f"ell must be >= 1, got {self.ell}")
         if self.B is not None:
             if self.B < 1:
-                raise ParameterError(f"B must be >= 1, got {self.B}")
+                raise ValueError(f"B must be >= 1, got {self.B}")
             # B < B_max = (2**n/r - 1)/2, checked without rationals
             if self.r * (2 * self.B + 1) >= (1 << (self.m + self.ell)):
-                raise ParameterError(
+                raise ValueError(
                     f"B={self.B} reaches past the peak spacing for r={self.r}, "
                     f"m={self.m}, ell={self.ell}"
                 )
@@ -102,9 +90,8 @@ def derive(params: Params) -> DerivedParams:
 
 @dataclass(frozen=True)
 class Peak:
-    """Peak index z with its optimal frequency j0 and argument alpha0."""
+    """The optimal frequency j0 of a peak z and its argument alpha0."""
 
-    z: int
     j0: int
     alpha0: int
 
@@ -113,7 +100,7 @@ def optimal_frequency(z: int, params: Params) -> int:
     """Frequency nearest to z * 2**n / r, ties rounded up: the integer
     form floor((2 z 2**n + r) / 2r) of round_half_up(z * 2**n / r)."""
     if not 0 <= z < params.r:
-        raise ParameterError(f"peak index z={z} outside [0, {params.r})")
+        raise ValueError(f"peak index z={z} outside [0, {params.r})")
     return (2 * z * params.two_n + params.r) // (2 * params.r)
 
 
@@ -122,12 +109,7 @@ def peak(z: int, params: Params) -> Peak:
     alpha0 = params.r * j0 - z * params.two_n
     # alpha0 = r * delta_z with delta_z in (-1/2, 1/2]
     assert -params.r < 2 * alpha0 <= params.r
-    return Peak(z=z, j0=j0, alpha0=alpha0)
-
-
-def frequency_argument(j: int, params: Params) -> int:
-    """Signed residue {r j} mod 2**n, the argument the distribution is read at."""
-    return signed_residue(params.r * j, params.two_n)
+    return Peak(j0=j0, alpha0=alpha0)
 
 
 def check_window(j: int, B: int, N: int) -> None:
@@ -164,15 +146,14 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._r = random.Random(seed)
 
     def split(self) -> "Rng":
         return Rng(self._r.getrandbits(128))
 
-    def randrange(self, start: int, stop: int | None = None) -> int:
-        """Uniform integer in [0, start) or [start, stop).  Arbitrary precision."""
-        return self._r.randrange(start) if stop is None else self._r.randrange(start, stop)
+    def randrange(self, stop: int) -> int:
+        """Uniform integer in [0, stop).  Arbitrary precision."""
+        return self._r.randrange(stop)
 
     def getrandbits(self, k: int) -> int:
         return self._r.getrandbits(k)
@@ -188,7 +169,7 @@ class SimulatedGroup:
 
     def __init__(self, r: int):
         if r < 1:
-            raise ParameterError(f"group order must be positive, got {r}")
+            raise ValueError(f"group order must be positive, got {r}")
         self.r = r
 
     def element(self, k: int) -> int:
@@ -207,10 +188,6 @@ class SimulatedGroup:
     def random_element(self, rng: Rng) -> int:
         return rng.randrange(self.r)
 
-    def element_order(self, a: int) -> int:
-        """Exact order of a.  Only the simulated realization can answer this."""
-        return self.r // math.gcd(a % self.r, self.r)
-
 
 class ModNGroup:
     """Multiplicative group of units mod an odd N > 3.
@@ -222,13 +199,13 @@ class ModNGroup:
 
     def __init__(self, N: int):
         if N <= 3 or N % 2 == 0:
-            raise ParameterError(f"modulus must be odd and > 3, got {N}")
+            raise ValueError(f"modulus must be odd and > 3, got {N}")
         self.N = N
 
     def element(self, x: int) -> int:
         x %= self.N
         if math.gcd(x, self.N) != 1:
-            raise ParameterError(f"{x} is not a unit mod {self.N}")
+            raise ValueError(f"{x} is not a unit mod {self.N}")
         return x
 
     def pow(self, a: int, k: int) -> int:

@@ -154,10 +154,10 @@ def post_process(
     if not any(1 <= cand < top for cand in candidates):
         return None, "no_candidate"
     ctx = _smoothness_context(config.c, config.m)
-    solve = recovery.solve_candidate_set(
+    order = recovery.solve_candidate_set(
         group, g, candidates, ctx, algorithm=config.recovery, meter=meter
     )
-    return solve.order, None
+    return order, None
 
 
 def run_once(group, g, true_r: int, config: RunConfig, rng: Rng) -> RunOutcome:
@@ -175,7 +175,7 @@ def run_once(group, g, true_r: int, config: RunConfig, rng: Rng) -> RunOutcome:
     meter = recovery.ExponentMeter()
     drawn = Sampler(params, t_max=config.t_max).sample(rng)
     order, reason = None, "tail"
-    if not drawn.tail:
+    if drawn.t is not None:
         order, reason = post_process(group, g, drawn.j, params, config, meter)
         if reason is None and order != true_r:
             reason = "unsmooth_d"
@@ -381,11 +381,18 @@ def true_order(N: int, g: int) -> int:
 
 
 def _register_for_modulus(N: int) -> tuple[int, int]:
-    """Register split (m, ell): m = bitlen(N) - 1 and the least ell with
-    2**(m+ell) >= N**2 / 4."""
+    """Register split (m, ell) of an odd N >= 7: m = bitlen(N) - 1 and
+    the least ell with 2**(m+ell) >= N**2 / 4.
+
+    N**2 is odd, so no power of two equals it, and the least k with
+    2**k >= N**2 is bitlen(N**2 - 1): ell = bitlen(N**2 - 1) - 2 - m.
+    With b = bitlen(N), N > 2**(b-1) gives N**2 - 1 >= 2**(2b-2), so
+    bitlen(N**2 - 1) >= 2b - 1 and ell >= b - 2 = m - 1.  So ell >= 2,
+    as RunConfig asks, once N >= 9 (m >= 3), and N = 7 gives ell = 2;
+    only N = 5 would give 1, and factor_completely rejects 5 as prime.
+    """
     m = N.bit_length() - 1
-    ell = max(1, (N * N - 1).bit_length() - 2 - m)
-    return m, ell
+    return m, (N * N - 1).bit_length() - 2 - m
 
 
 @dataclass(frozen=True)

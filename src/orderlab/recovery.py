@@ -423,12 +423,6 @@ _RECOVERY = {
 }
 
 
-@dataclass(frozen=True)
-class CandidateSolve:
-    order: int | None
-    survivors: list[int]
-
-
 def solve_candidate_set(
     group,
     g,
@@ -436,8 +430,9 @@ def solve_candidate_set(
     ctx: SmoothnessContext,
     algorithm: str = "stack",
     meter: ExponentMeter | None = None,
-) -> CandidateSolve:
-    """Filter the candidates, recover from each survivor, keep the minimum.
+) -> int | None:
+    """Filter the candidates, recover from each survivor, and return the
+    least recovered value, or None when no survivor recovers.
 
     Every successful recovery returns a positive multiple of the order,
     and the survivor r/d with smooth d recovers the order itself, so the
@@ -450,7 +445,7 @@ def solve_candidate_set(
         got = recover(group, g, cand, ctx, meter)
         if got is not None and (best is None or got < best):
             best = got
-    return CandidateSolve(order=best, survivors=survivors)
+    return best
 
 
 def multiple_recovery_exponent_budget(ctx: SmoothnessContext) -> int:

@@ -11,7 +11,6 @@ from orderlab.bounds import (
     REFERENCE_B_COLUMNS,
     REFERENCE_C_ROWS,
     approx_error_bound,
-    carmichael_check,
     carmichael_value,
     cos_inequalities,
     dyadic_band_bound,
@@ -29,8 +28,8 @@ from orderlab.bounds import (
     window_inverse_square_sum,
     window_mass_lower_bound,
 )
-from orderlab.distribution import window_mass
-from orderlab.model import ParameterError, Params
+from orderlab.distribution import approx_prob, prob, window_mass
+from orderlab.model import Params
 
 
 class TestRelativeErrorBound:
@@ -44,26 +43,30 @@ class TestRelativeErrorBound:
         assert vals == sorted(vals, reverse=True)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             relative_error_bound(0)
 
 
 class TestApproxErrorBound:
     def test_strict_below_loose(self):
+        # r < 2**n makes 3/4 + (r / 2**n) / 12 < 1: below the loose pi^2 / 2**n
         p = Params(r=1000, m=10, ell=10)
-        assert float(approx_error_bound(p, "strict")) < float(
-            approx_error_bound(p, "loose")
-        )
+        assert float(approx_error_bound(p)) < math.pi ** 2 / p.two_n
 
-    def test_loose_formula(self):
+    def test_formula(self):
         # working precision is n + 32 bits, so compare at ~2**-40 relative
         p = Params(r=13, m=4, ell=4)
-        want = math.pi ** 2 / 256
-        assert abs(float(approx_error_bound(p, "loose")) - want) < 1e-11 * want
+        want = math.pi ** 2 / 256 * (3 / 4 + 13 / 256 / 12)
+        assert abs(float(approx_error_bound(p)) - want) < 1e-11 * want
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            approx_error_bound(Params(r=5, m=3, ell=3), "fancy")
+    @pytest.mark.parametrize("r", [5, 12, 19])
+    def test_bounds_exact_minus_approx(self, r):
+        m = r.bit_length()
+        p = Params(r=r, m=m, ell=m)
+        bound = approx_error_bound(p)
+        for alpha in range(-(p.two_n // 2), p.two_n // 2):
+            if alpha:
+                assert abs(prob(alpha, p) - approx_prob(alpha, p)) < bound, alpha
 
 
 class TestWindowMassLowerBound:
@@ -83,9 +86,9 @@ class TestScalarBounds:
         assert abs(float(smoothness_bound(10, 128)) - want) < 1e-12
 
     def test_smoothness_bound_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             smoothness_bound(0.5, 128)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             smoothness_bound(1, 1)
 
     def test_single_run_composition(self):
@@ -124,7 +127,7 @@ class TestEnumerationBudget:
         assert enumeration_budget(2) == 42
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             enumeration_budget(-1)
 
 
@@ -137,7 +140,7 @@ class TestLatticeBound:
         )
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             lattice_success_bound(8, 8, 3, 25)
 
 
@@ -183,7 +186,7 @@ class TestDyadicBandBound:
                 assert b == min(Fraction(2) ** (m - t), Fraction(2) ** (t + 3 - m))
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             dyadic_band_bound(0, 4)
 
 
@@ -199,9 +202,9 @@ class TestTrigamma:
             assert abs(trigamma_reference(x) - want) < 1e-11
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             trigamma_upper(0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             trigamma_reference(-1.0)
 
 
@@ -241,7 +244,7 @@ class TestCosInequalities:
         assert at_zero.upper == 0.0 and at_zero.quartic == 0.0
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             cos_inequalities(3.2)
 
 
@@ -253,14 +256,15 @@ class TestCarmichael:
         assert carmichael_value({7: 1}) == 6
 
     def test_check(self):
-        assert carmichael_check({3: 1, 5: 1})  # 2 * 4 = 8 < 15
-        assert carmichael_check({3: 1, 11: 1, 17: 1})  # 4 * 80 = 320 < 561
+        # the group exponent of N with n >= 2 distinct primes is below
+        # 2**(1-n) N
+        for f in ({3: 1, 5: 1}, {3: 1, 11: 1, 17: 1}, {3: 2, 5: 1}):
+            N = math.prod(p ** e for p, e in f.items())
+            assert (1 << (len(f) - 1)) * carmichael_value(f) < N, f
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             carmichael_value({2: 1, 5: 1})
-        with pytest.raises(ParameterError):
-            carmichael_check({7: 2})
 
 
 class TestFactoringBound:
@@ -277,5 +281,5 @@ class TestFactoringBound:
 
     @pytest.mark.parametrize("n_primes,k,sigma", [(2, -1, 25.0), (1, 10, 25.0), (2, 10, 0.5)])
     def test_validation(self, n_primes, k, sigma):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             factoring_success_bound(64, n_primes, k, sigma, 10, 25)

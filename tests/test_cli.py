@@ -140,6 +140,30 @@ class TestSample:
             assert 0 <= int(z) < 13
             assert tail in ("true", "false")
 
+    def test_tail_row_is_last(self, capsys):
+        # the walk capped at one offset; the last draw is a tail, whose t
+        # and j print empty
+        assert main([
+            "sample", "--r", "13", "--m", "4", "--ell", "4",
+            "--tmax", "1", "--trials", "13", "--seed", "0",
+        ]) == 0
+        assert capsys.readouterr().out == (
+            "z,t,j,tail\n"
+            "6,0,118,false\n"
+            "6,0,118,false\n"
+            "8,0,158,false\n"
+            "12,0,236,false\n"
+            "7,0,138,false\n"
+            "3,0,59,false\n"
+            "4,0,79,false\n"
+            "1,-1,19,false\n"
+            "4,-1,78,false\n"
+            "8,-1,157,false\n"
+            "12,-1,235,false\n"
+            "2,0,39,false\n"
+            "11,,,true\n"
+        )
+
     def test_invalid_order_exits_2(self, capsys):
         assert main(["sample", "--r", "1", "--m", "4", "--ell", "4"]) == 2
 

@@ -31,8 +31,15 @@ from orderlab.distribution import (
     _unit_circle,
     _unit_circle_tables,
 )
-from orderlab.model import Params, Rng, derive, frequency_argument, peak
+from orderlab.model import Params, Rng, derive, peak
 from orderlab.pipeline import RunConfig
+
+
+def argument(j: int, params: Params) -> int:
+    """The signed argument {r j} mod 2**n, in [-2**(n-1), 2**(n-1)),
+    that the distribution of frequency j is read at."""
+    half = params.two_n // 2
+    return (params.r * j + half) % params.two_n - half
 
 
 def rel_close(a, b, tol, floor=0.0):
@@ -70,7 +77,7 @@ class TestClosedFormAgainstDirectSum:
         dist = bruteforce_distribution(p)
         floor_ = 2.0 ** (-2 * p.n)
         for j in range(N):
-            assert rel_close(prob(frequency_argument(j, p), p), dist[j], 1e-13, floor_)
+            assert rel_close(prob(argument(j, p), p), dist[j], 1e-13, floor_)
 
     def test_bulk_matches_per_frequency(self):
         p = Params(r=13, m=4, ell=4)
@@ -106,7 +113,7 @@ class TestSymmetryAndArray:
         assert dist.shape == (p.two_n,)
         assert abs(float(dist.sum()) - 1.0) < 1e-12
         for j in (0, 1, 57, 200, p.two_n - 1):
-            assert rel_close(dist[j], prob(frequency_argument(j, p), p), 1e-14)
+            assert rel_close(dist[j], prob(argument(j, p), p), 1e-14)
 
     def test_domain_validation(self):
         p = Params(r=5, m=3, ell=3)
@@ -332,8 +339,8 @@ class TestSampler:
         for _ in range(200):
             res = s.sample(rng)
             assert 0 <= res.z < p.r
-            if res.tail:
-                assert res.j is None and res.t is None
+            if res.t is None:
+                assert res.j is None
             else:
                 assert 0 <= res.j < p.two_n
                 assert abs(res.t) <= s.t_cap
@@ -344,8 +351,8 @@ class TestSampler:
         s = Sampler(p, t_max=1)
         rng = Rng(5)
         results = [s.sample(rng) for _ in range(600)]
-        assert any(res.tail for res in results)
-        assert all(abs(res.t) <= 1 for res in results if not res.tail)
+        assert any(res.t is None for res in results)
+        assert all(abs(res.t) <= 1 for res in results if res.t is not None)
 
     def test_exact_order_power_of_two(self):
         # r | 2**n: every draw must land exactly on its peak
@@ -354,7 +361,6 @@ class TestSampler:
         rng = Rng(9)
         for _ in range(100):
             res = s.sample(rng)
-            assert not res.tail
             assert res.t == 0
 
     def test_goodness_of_fit(self):
@@ -367,7 +373,7 @@ class TestSampler:
         counts = np.zeros(p.two_n + 1, dtype=np.int64)  # last slot: sampler tail
         for _ in range(n_draws):
             res = s.sample(rng)
-            counts[p.two_n if res.tail else res.j] += 1
+            counts[p.two_n if res.t is None else res.j] += 1
         expected = np.append(full_distribution(p), 0.0) * n_draws
         expected[-1] = max(n_draws - expected[:-1].sum(), 0.0)
         # merge every bin with expected count < 5 into the tail slot
@@ -407,9 +413,9 @@ def _sample_reference(params: Params, t_max: int, rng) -> SampleResult:
             total += params.r * prob(alpha0 + params.r * t, params, prec)
             cum.append(total)
         if total < target:
-            return SampleResult(z=z, t=None, j=None, tail=True)
+            return SampleResult(z=z, t=None, j=None)
         t = _offset(bisect.bisect_left(cum, target))
-        return SampleResult(z=z, t=t, j=(peak(z, params).j0 + t) % params.two_n, tail=False)
+        return SampleResult(z=z, t=t, j=(peak(z, params).j0 + t) % params.two_n)
 
 
 class StubRng:
@@ -484,7 +490,7 @@ class TestFloatWalkMatchesReference:
         p = Params(r=13, m=4, ell=4)
         sampler = Sampler(p, t_max=1)
         draws = [sampler.sample(Rng(300 + k)) for k in range(400)]
-        assert any(d.tail for d in draws)
+        assert any(d.t is None for d in draws)
         assert draws == [_sample_reference(p, 1, Rng(300 + k)) for k in range(400)]
 
     @pytest.mark.parametrize("r,m,ell", [(13, 4, 4), (3, 2, 10), (2**40 + 15, 41, 41)])
@@ -515,7 +521,7 @@ class TestFloatWalkMatchesReference:
             rng = StubRng(z, U, p)
             got = Sampler(p, t_max=RunConfig.t_max).sample(rng)
             assert got == _sample_reference(p, RunConfig.t_max, rng)
-            assert got.t == 0 and not got.tail
+            assert got.t == 0
         assert len(fallbacks) == 1
 
 

@@ -608,13 +608,13 @@ class TestTrueOrder:
             assert _carmichael_primes(f) == set(factorize(carmichael_value(f))), N
 
     def test_register_split(self):
-        for N in (15, 21, 1023, 2 ** 48 - 1, 10 ** 12 + 39):
+        # every odd N in [7, 2**14) and a few large ones: the least ell with
+        # 2**(m+ell) >= N**2 / 4 is at least 2, as RunConfig asks (the
+        # docstring's proof)
+        for N in (*range(7, 1 << 14, 2), 2 ** 48 - 1, 10 ** 12 + 39):
             m, ell = _register_for_modulus(N)
-            assert m == N.bit_length() - 1
-            assert ell >= 1
-            assert 4 * 2 ** (m + ell) >= N * N
-            if ell > 1:
-                assert 4 * 2 ** (m + ell - 1) < N * N
+            assert m == N.bit_length() - 1 and ell >= 2, N
+            assert 4 * 2 ** (m + ell) >= N * N > 4 * 2 ** (m + ell - 1), N
 
 
 class TestFactorCompletely:

@@ -307,24 +307,24 @@ class TestSolveCandidateSet:
         group = SimulatedGroup(20)
         ctx = SmoothnessContext.build(2, 5)
         g = group.generator()
-        res = solve_candidate_set(group, g, [5, 10, 20], ctx)
-        assert res.order == 20
-        assert res.survivors == [5, 10, 20]
+        assert solve_candidate_set(group, g, [5, 10, 20], ctx) == 20
+        assert filter_candidates(group, g, [5, 10, 20], ctx)[0] == [5, 10, 20]
 
     def test_empty_candidates(self):
         group = SimulatedGroup(20)
         ctx = SmoothnessContext.build(2, 5)
-        res = solve_candidate_set(group, group.generator(), [], ctx)
-        assert res.order is None
-        assert res.survivors == []
+        assert solve_candidate_set(group, group.generator(), [], ctx) is None
+        assert filter_candidates(group, group.generator(), [], ctx)[0] == []
 
     def test_junk_candidates_do_not_mislead(self):
         group = SimulatedGroup(36)
         ctx = SmoothnessContext.build(2, 6)
         g = group.generator()
-        res = solve_candidate_set(group, g, [7, 11, 9, 25], ctx, algorithm="tree")
-        # 9 survives (36 | 9 * smooth), recovery lifts it to exactly 36
-        assert res.order == 36
+        # 36 divides smooth_exponent = 27720, so every candidate survives;
+        # each recovers a multiple of 36, and 9 recovers 36 itself
+        assert filter_candidates(group, g, [7, 11, 9, 25], ctx)[0] == [7, 11, 9, 25]
+        assert [recover_order_tree(group, g, c, ctx) for c in (7, 11, 9, 25)] == [252, 396, 36, 900]
+        assert solve_candidate_set(group, g, [7, 11, 9, 25], ctx, algorithm="tree") == 36
 
     def test_unknown_algorithm(self):
         group = SimulatedGroup(6)
