@@ -1,6 +1,6 @@
 """Desk-scale integer factorization for verification and ground truth.
 
-Miller-Rabin with a base set that is exact at these sizes, integer
+Miller-Rabin with base sets that are exact at these sizes, integer
 roots, perfect powers, and factorize.  is_probable_prime and
 perfect_power are pure functions of n and keep their last
 _VERDICT_CACHE = 256 verdicts, so the callers that test the same
@@ -16,6 +16,31 @@ not a perfect power:
 Sized for the moduli the laboratory factors: order candidates, the
 Carmichael values of its moduli, and test semiprimes up to a hundred
 bits or so.
+
+Miller-Rabin on the first k primes decides primality exactly for every
+n < psi_k, where psi_k is the least strong pseudoprime to all of those
+bases (OEIS A014233).  is_probable_prime takes the least k whose psi_k
+lies above n, from this table:
+
+    k       psi_k
+    1       2047
+    2       1373653
+    3       25326001
+    4       3215031751
+    5       2152302898747
+    6       3474749660383
+    7, 8    341550071728321
+    9-11    3825123056546413051
+    12      318665857834031151167461
+    13      3317044064679887385961981
+
+psi_1 to psi_8 are tabulated in G. Jaeschke, "On strong pseudoprimes to
+several bases", Math. Comp. 61 (1993), 915-926; psi_9 to psi_11 are
+from Y. Jiang and Y. Deng, Math. Comp. 83 (2014), 2915-2924; psi_12 and
+psi_13 from J. Sorenson and J. Webster, "Strong pseudoprimes to twelve
+prime bases", Math. Comp. 86 (2017), 985-1003.
+Each psi_k is itself a strong pseudoprime to its k bases, so the bound
+is strict.  A 24-bit prime takes 3 bases.
 
 Lehman's theorem (R. S. Lehman, "Factoring large integers", Math. Comp.
 28 (1974), 637-646), in its form with an integer r, 1 <= r < v**(1/2):
@@ -61,6 +86,7 @@ s = sqrt(4 k v) < 2**35 and eps = 2**-10:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import random
@@ -71,10 +97,23 @@ from .recovery import primes_up_to
 
 _TRIAL_LIMIT = 1 << 10
 _SMALL_PRIMES = tuple(primes_up_to(_TRIAL_LIMIT - 1))
-# Miller-Rabin on the first 13 primes is exact below this bound
-# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+# (psi_k, k): Miller-Rabin on the first k primes is exact below psi_k,
+# the least k for each distinct psi_k (module docstring)
+_MR_BANDS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MR_PSI = tuple(psi for psi, _ in _MR_BANDS)
 _MR_BASES = _SMALL_PRIMES[:13]  # 2 .. 41
-_MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_EXACT_LIMIT = _MR_PSI[-1]
 _MR_SEEDED_ROUNDS = 64
 _DEFAULT_RHO_BUDGET = 1 << 24
 # composite cofactors below this bound are split by Lehman's method, above
@@ -94,8 +133,10 @@ class FactorizationTimeout(RuntimeError):
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Below 3,317,044,064,679,887,385,961,981 the bases are the 13 primes
-    2 .. 41, which make the verdict exact there.  From that bound up,
+    Below psi_13 = 3,317,044,064,679,887,385,961,981 the bases are the
+    first k primes for the least k with n < psi_k (the module
+    docstring's table), which make the verdict exact there: the same
+    verdict as all 13 primes 2 .. 41.  From psi_13 up,
     _MR_SEEDED_ROUNDS = 64 bases are drawn from a stream seeded by n
     itself, so verdicts are deterministic per input.  The verdict is a
     pure function of n, memoized for the last _VERDICT_CACHE arguments;
@@ -110,7 +151,7 @@ def is_probable_prime(n: int) -> bool:
     s = (d & -d).bit_length() - 1
     d >>= s
     if n < _MR_EXACT_LIMIT:
-        bases = _MR_BASES
+        bases = _MR_BASES[: _MR_BANDS[bisect.bisect_right(_MR_PSI, n)][1]]
     else:
         rng = random.Random(n ^ 0x9E3779B97F4A7C15)
         bases = (rng.randrange(2, n - 1) for _ in range(_MR_SEEDED_ROUNDS))
@@ -285,7 +326,7 @@ def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
         out[n] = out.get(n, 0) + 1
         return out
     budget = [rho_budget]
-    rng = random.Random(n ^ 0xD1B54A32D192ED03)
+    rng = None  # seeded by the cofactor n when a part first reaches rho
     stack = [n]
     while stack:
         v = stack.pop()  # > 1: n and every split part are
@@ -301,6 +342,8 @@ def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
         if v < _LEHMAN_LIMIT:
             f = _lehman(v)
         else:
+            if rng is None:
+                rng = random.Random(n ^ 0xD1B54A32D192ED03)
             f = None
             while f is None:
                 f = _brent_rho(v, rng, budget)

@@ -185,22 +185,27 @@ class SimulatedGroup:
     def is_identity(self, a: int) -> bool:
         return a % self.r == 0
 
-    def random_element(self, rng: Rng) -> int:
-        return rng.randrange(self.r)
-
 
 class ModNGroup:
-    """Multiplicative group of units mod an odd N > 3.
+    """Multiplicative group of units mod an odd N > 3, given lam = lambda(N).
 
-    No ground-truth order is available here; order queries are whatever
-    the post-processing pipeline recovers.  Element creation validates
-    coprimality.
+    lam is the Carmichael value of N, which the simulation harness
+    computes from N's factorization (bounds.carmichael_value), as
+    SimulatedGroup is given its order r.  Every element is a unit, so
+    a**lam = 1 and pow reduces k mod lam, for every k, negative k and
+    k >= lam included.  Post-processing stays blind: it sees only pow
+    and is_identity, and the exponent meter is charged from the k that
+    post-processing asks for, never from k % lam.  Element creation
+    validates coprimality.
     """
 
-    def __init__(self, N: int):
+    def __init__(self, N: int, lam: int):
         if N <= 3 or N % 2 == 0:
             raise ValueError(f"modulus must be odd and > 3, got {N}")
+        if lam < 1:
+            raise ValueError(f"lambda(N) must be positive, got {lam}")
         self.N = N
+        self.lam = lam
 
     def element(self, x: int) -> int:
         x %= self.N
@@ -209,7 +214,7 @@ class ModNGroup:
         return x
 
     def pow(self, a: int, k: int) -> int:
-        return pow(a, k, self.N)
+        return pow(a, k % self.lam, self.N)
 
     def is_identity(self, a: int) -> bool:
         return a % self.N == 1

@@ -358,25 +358,30 @@ def _carmichael_primes(factorization: dict[int, int]) -> set[int]:
     return primes
 
 
-def true_order(N: int, g: int) -> int:
-    """Ground-truth multiplicative order of g mod an odd N, by factoring.
+def true_order(factorization: dict[int, int], g: int) -> int:
+    """Ground-truth multiplicative order of g mod an odd N, given N's
+    factorization {p: e}.
 
-    Starts from lambda(N) (bounds.carmichael_value) and strips each of
-    its primes q while g**(order/q) == 1.  The primes come from the
-    factorizations of p - 1 over the primes p of N, never from
-    factoring lambda(N) itself.  Each q is stripped fully and on its
-    own, so the result is the exact order whatever order the primes
-    come in.
+    By the CRT the order is the lcm over p**e || N of the order of g
+    mod p**e.  Each of those starts from p**(e-1) (p - 1), the order of
+    the cyclic group of units mod p**e, and strips each prime q of it,
+    _carmichael_primes({p: e}), while g**(order/q) == 1 mod p**e.  The
+    primes come from factoring p - 1, never from factoring lambda(N).
+    Each q is stripped fully and on its own, so the result is the exact
+    order whatever order the primes come in.
 
     Simulation harness only: the measurement sampler needs the real
     order, which at laboratory scale is obtained classically.  The
     post-processing pipeline never sees this value.
     """
-    factorization = factorize(N)
-    order = bounds.carmichael_value(factorization)
-    for q in _carmichael_primes(factorization):
-        while order % q == 0 and pow(g, order // q, N) == 1:
-            order //= q
+    order = 1
+    for p, e in factorization.items():
+        pe = p ** e
+        local = p ** (e - 1) * (p - 1)
+        for q in _carmichael_primes({p: e}):
+            while local % q == 0 and pow(g, local // q, pe) == 1:
+                local //= q
+        order = math.lcm(order, local)
     return order
 
 
@@ -516,7 +521,8 @@ def factor_completely(
     """Factor an odd composite N end to end.
 
     One simulated order-finding run on a random unit (the measurement
-    needs the true order, which the harness computes classically; the
+    needs the true order, which the harness computes classically: it
+    factors N once, for lambda(N) and for true_order; the
     post-processing stays blind), followed by classical gcd splitting
     driven by the recovered order.  Rejects even, prime, prime-power,
     and trivially small N with guidance.  run_options are the RunConfig
@@ -534,12 +540,13 @@ def factor_completely(
         raise ValueError(
             f"N={N} is a perfect power {pp[0]}**{pp[1]}; reduce the base first"
         )
-    rng = Rng(seed)
-    group = ModNGroup(N)
-    g = group.random_element(rng)
     m, ell = _register_for_modulus(N)
     config = RunConfig(m=m, ell=ell, delta=None, **run_options)
-    r = true_order(N, g)
+    rng = Rng(seed)
+    factorization = factorize(N)
+    group = ModNGroup(N, bounds.carmichael_value(factorization))
+    g = group.random_element(rng)
+    r = true_order(factorization, g)
     outcome = run_once(group, g, r, config, rng)
     factors, reason = None, outcome.reason
     if outcome.success:

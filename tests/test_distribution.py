@@ -1,7 +1,6 @@
 """Exact measurement distribution, its oracles, and the sampler."""
 
 import bisect
-import math
 import random
 from fractions import Fraction
 

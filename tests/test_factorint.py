@@ -65,7 +65,55 @@ def perfect_power_all_k(n: int) -> tuple[int, int] | None:
     return None
 
 
+# OEIS A014233: psi_k, the least strong pseudoprime to all of the first
+# k primes, for k = 1 .. 13
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def reference_is_prime(n: int) -> bool:
+    """Miller-Rabin on all 13 primes 2 .. 41, for odd n > 41."""
+    return all(strong_probable_prime(n, a) for a in FIRST_13_PRIMES)
+
+
 class TestIsProbablePrime:
+    def test_bands_are_the_least_k_of_each_psi(self):
+        want = tuple((psi, PSI.index(psi) + 1) for psi in sorted(set(PSI)))
+        assert factorint._MR_BANDS == want
+        assert factorint._MR_EXACT_LIMIT == PSI[-1]
+
+    def test_each_psi_is_rejected(self):
+        # psi_k fools every one of the first k bases, so a band that took
+        # k bases up to psi_k inclusive would call it prime: the bound is strict
+        for k, psi in enumerate(PSI, start=1):
+            assert all(strong_probable_prime(psi, a) for a in FIRST_13_PRIMES[:k]), k
+            assert not is_probable_prime.__wrapped__(psi), k
+
+    def test_bands_match_all_13_bases(self):
+        # a few hundred odd n from each band [psi_(k-1), psi_k), 43 .. 2047 first
+        test = is_probable_prime.__wrapped__
+        rnd = random.Random(14233)
+        limits = sorted(set(PSI))
+        for lo, hi in zip([43] + limits, limits):
+            ns = [rnd.randrange(lo, hi) | 1 for _ in range(300)]
+            verdicts = [test(n) for n in ns]
+            assert verdicts == [reference_is_prime(n) for n in ns], (lo, hi)
+            assert any(verdicts) and not all(verdicts), (lo, hi)
+
     def test_against_sieve(self):
         primes = sieve(20000)
         for n in range(20000):
@@ -223,6 +271,15 @@ class TestFactorize:
         a, b = 1099511627791, 1099511627803
         with pytest.raises(FactorizationTimeout):
             factorize(a * b, rho_budget=100)
+
+    def test_rho_stream_is_seeded_only_for_rho(self, monkeypatch):
+        # below 2**50 no cofactor reaches rho, so no stream is seeded
+        def forbidden(seed):
+            raise AssertionError(f"seeded a stream with {seed}")
+
+        monkeypatch.setattr(factorint, "random", types.SimpleNamespace(Random=forbidden))
+        assert factorize(16777213 * 16777199) == {16777199: 1, 16777213: 1}
+        assert factorize(3 * 1031 ** 2 * 1033) == {3: 1, 1031: 2, 1033: 1}
 
     def test_lehman_ignores_rho_budget(self):
         # below 2**50 the split is Lehman's bounded search, which takes no budget

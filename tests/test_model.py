@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from orderlab.bounds import carmichael_value
+from orderlab.factorint import factorize
 from orderlab.model import (
     ModNGroup,
     Params,
@@ -183,18 +185,33 @@ class TestSimulatedGroup:
 class TestModNGroup:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ModNGroup(15 * 2)
+            ModNGroup(15 * 2, 4)
         with pytest.raises(ValueError):
-            ModNGroup(3)
+            ModNGroup(3, 2)
+        with pytest.raises(ValueError):
+            ModNGroup(15, 0)
 
     def test_pow_matches_builtin(self):
-        g = ModNGroup(91)
+        g = ModNGroup(91, 12)
         assert g.pow(2, 10) == pow(2, 10, 91)
         assert g.pow(2, -1) == pow(2, -1, 91)
         assert g.is_identity(g.pow(2, 0))
 
+    def test_reduced_pow_on_every_unit(self):
+        # k mod lambda(N) gives the unreduced power for every unit a of
+        # every odd N in [5, 2**9], on both sides of 0 and of lambda
+        big = (1 << 199) + 12345
+        for N in range(5, (1 << 9) + 1, 2):
+            lam = carmichael_value(factorize(N))
+            group = ModNGroup(N, lam)
+            ks = (*range(-3, 4), lam - 1, lam, lam + 1, big, -big)
+            for a in range(1, N):
+                if math.gcd(a, N) == 1:
+                    for k in ks:
+                        assert group.pow(a, k) == pow(a, k, N), (N, a, k)
+
     def test_order_against_bruteforce(self):
-        g = ModNGroup(91)  # 7 * 13
+        g = ModNGroup(91, 12)  # 7 * 13
         x = 2
         order = 1
         y = x
@@ -207,7 +224,7 @@ class TestModNGroup:
                 assert not g.is_identity(g.pow(x, order // q))
 
     def test_random_element_is_unit(self):
-        g = ModNGroup(105)
+        g = ModNGroup(105, 12)
         rng = Rng(3)
         for _ in range(50):
             x = g.random_element(rng)

@@ -6,6 +6,7 @@ import math
 import random
 import types
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -523,22 +524,38 @@ class TestGoldenReports:
         assert report_to_csv(report) == self.LATTICE_STACK_CSV
 
 
+def brute_force_orders(moduli) -> dict[tuple[int, int], int]:
+    """{(N, g): the least d >= 1 with g**d == 1 mod N} for every unit g
+    of every N in moduli (all below 2**15), stepping the powers of all
+    units together.  A unit's power is set to 0 at its first 1, where it
+    stays, and the finished units are dropped every 32 steps."""
+    pairs = [(N, g) for N in moduli for g in range(1, N) if math.gcd(g, N) == 1]
+    mod = np.array([N for N, _ in pairs], dtype=np.int32)
+    g = np.array([g for _, g in pairs], dtype=np.int32)
+    index = np.arange(len(pairs))
+    y = g.copy()
+    orders = np.zeros(len(pairs), dtype=np.int64)
+    d = 1
+    while index.size:
+        done = np.flatnonzero(y == 1)
+        orders[index[done]] = d
+        y[done] = 0
+        if d % 32 == 0:
+            keep = y != 0
+            index, y, g, mod = index[keep], y[keep], g[keep], mod[keep]
+        y *= g
+        y %= mod
+        d += 1
+    return dict(zip(pairs, orders.tolist()))
+
+
 class TestTrueOrder:
-    @given(st.integers(5, 3000), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_against_brute_force(self, N, data):
-        if N % 2 == 0:
-            N += 1
-        g = data.draw(st.integers(2, N - 1))
-        if math.gcd(g, N) != 1:
-            return
-        got = true_order(N, g)
-        assert pow(g, got, N) == 1
-        y, k = g % N, 1
-        while y != 1:
-            y = (y * g) % N
-            k += 1
-        assert got == k
+    def test_against_brute_force(self):
+        # every odd N in [5, 2**11), prime powers and their products included
+        moduli = range(5, 1 << 11, 2)
+        factorizations = {N: factorize(N) for N in moduli}
+        for (N, g), order in brute_force_orders(moduli).items():
+            assert true_order(factorizations[N], g) == order, (N, g)
 
     def test_minimal_on_48_bit_semiprimes(self):
         def prime_factors(n):
@@ -563,7 +580,7 @@ class TestTrueOrder:
             g = rnd.randrange(2, N - 1)
             if p == q or math.gcd(g, N) != 1:
                 continue
-            r = true_order(N, g)
+            r = true_order({p: 1, q: 1}, g)
             assert math.lcm(p - 1, q - 1) % r == 0
             assert pow(g, r, N) == 1
             for f in prime_factors(p - 1) | prime_factors(q - 1):
@@ -593,7 +610,7 @@ class TestTrueOrder:
         for g in gs:
             if math.gcd(g, N) != 1:
                 continue
-            got = true_order(N, g)
+            got = true_order(factorization, g)
             assert got == self.order_by_factoring_lambda(N, g), g
             if N < 5000:
                 y, k = g, 1
@@ -675,7 +692,7 @@ class TestFactorCompletely:
         # order lambda(N), which every split of N can use)
         want = factorize(N)
         lam = carmichael_value(want)
-        g = next(g for g in range(2, N) if math.gcd(g, N) == 1 and true_order(N, g) == lam)
+        g = next(g for g in range(2, N) if math.gcd(g, N) == 1 and true_order(want, g) == lam)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the split must not factor")

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderlab import recovery
+from orderlab.bounds import carmichael_value
 from orderlab.factorint import factorize
 from orderlab.lattice import reduce_window, window_candidates
-from orderlab.model import ModNGroup, Params, Rng, SimulatedGroup, peak
+from orderlab.model import ModNGroup, Params, SimulatedGroup, peak
 from orderlab.pipeline import true_order
 from orderlab.recovery import (
     _BLOCK,
@@ -515,7 +516,7 @@ def group_and_element(kind: str, data):
     x = data.draw(st.integers(2, N - 1))
     while math.gcd(x, N) != 1:
         x += 1
-    return ModNGroup(N), x % N, N.bit_length()
+    return ModNGroup(N, carmichael_value(factorize(N))), x % N, N.bit_length()
 
 
 class TestMeterOracle:
@@ -561,7 +562,7 @@ class TestMeterOracle:
         # exponents than the one that carried the smooth exponent in mu
         group, g, m = group_and_element(kind, data)
         ctx = SmoothnessContext.build(c, m)
-        order = group.r // math.gcd(group.r, g) if kind == "simulated" else true_order(group.N, g)
+        order = group.r // math.gcd(group.r, g) if kind == "simulated" else true_order(factorize(group.N), g)
         multiples = st.integers(1, ((1 << m) - 1) // order).map(lambda k: k * order)
         candidates = data.draw(st.lists(
             st.one_of(st.integers(-2, (1 << m) + 2), multiples), max_size=40
