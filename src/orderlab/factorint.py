@@ -9,7 +9,10 @@ split) compute each verdict once.  factorize trial-divides by the
 primes below 2**10 and then splits each composite cofactor v that is
 not a perfect power:
 
-    v < 2**50   by Lehman's method (_lehman), a bounded deterministic search;
+    v < 2**50   by Hart's one-line method (_hart), a fast pass that may
+                find nothing, then, only if it does, by Lehman's method
+                (_lehman), a bounded deterministic search that always
+                succeeds;
     v >= 2**50  by Brent-cycle rho under a work budget, which turns
                 pathological inputs into a distinct timeout.
 
@@ -82,6 +85,43 @@ s = sqrt(4 k v) < 2**35 and eps = 2**-10:
     m < 2**17, so its sqrt lies at least 1/(2 m + 2) from both, and
     rounding moves it by at most (m + 1) 2**-53.  Each hit is confirmed
     with math.isqrt and the gcd.
+
+Hart's one-line factoring (W. B. Hart, "A one line factoring
+algorithm", J. Aust. Math. Soc. 92 (2012), 61-69), with multiplier
+M = 480: for i = 1, 2, ..., let n = M v i, s = ceil(sqrt(n)) and
+m = s**2 - n; when m = t**2 is a square, s**2 - t**2 = (s - t)(s + t)
+is a multiple of v, and gcd(s - t, v) may be a proper factor.  Hart
+gives a heuristic, not a proof, that this finds a factor within about
+v**(1/3) steps.  _hart tries i = 1..r, r = floor(v**(1/3)), in blocks
+of _BLOCK, and returns the first proper gcd(s - t, v) in i order, or
+None; factorize then calls _lehman.  For v < 2**50:
+
+  (a) Any value _hart returns is a proper divisor of v: it is
+      gcd(s - t, v), recomputed in Python ints, and strictly between 1
+      and v.
+  (b) _hart returns exactly the first proper factor in i order.
+      M v < 2**59 and i < 2**17 fit in uint64, so M v i in wrapping
+      uint64 is n mod 2**64.  n < 2**76 gives s < 2**38, and
+      (s - 1)**2 < n gives 0 <= m <= 2 s - 2 < 2**39.  The float64
+      sqrt(i * fl(M v)) takes three correctly rounded steps, so it lies
+      within 2**-51 sqrt(n) < 2**-13 of sqrt(n), and its ceiling sc is
+      s - 1, s or s + 1.  sc**2 - n in wrapping uint64 is the true
+      value mod 2**64.  For sc = s - 1 the true value lies in
+      [-2 s + 1, -1] and wraps to above 2**64 - 2**39; for sc = s it is
+      m, in [0, 2 sc - 2]; for sc = s + 1 it lies in [2 s + 1, 4 s - 1],
+      at least 2 sc - 1.  So the wrapped value is m exactly when it is
+      at most 2 sc - 2, and every other row is checked in Python ints.
+      On the rows kept, m < 2**39 is exact in float64, and its correctly
+      rounded sqrt is an integer exactly when m is a square, as for
+      Lehman's d above: a non-square lies strictly between j**2 and
+      (j + 1)**2 with j < 2**20, its sqrt at least 1/(2 j + 2) from
+      both, and rounding moves the sqrt by at most (j + 1) 2**-53.
+      Every row that this screen passes is confirmed in Python ints,
+      with s from math.isqrt, t = math.isqrt(m) and the gcd.  So no
+      square m is missed, and no other row returns.
+  (c) The work is bounded: at most ceil(r / _BLOCK) blocks of _BLOCK
+      rows, with r < 2**17.  Completeness is Lehman's: when Hart finds
+      nothing, _lehman's proven sweep finishes.
 """
 
 from __future__ import annotations
@@ -116,11 +156,13 @@ _MR_BASES = _SMALL_PRIMES[:13]  # 2 .. 41
 _MR_EXACT_LIMIT = _MR_PSI[-1]
 _MR_SEEDED_ROUNDS = 64
 _DEFAULT_RHO_BUDGET = 1 << 24
-# composite cofactors below this bound are split by Lehman's method, above
-# it by rho; the bound keeps every a**2 - 4 k v of the sweep exact in
-# wrapping uint64 and float64 (module docstring)
+# composite cofactors below this bound are split by Hart's method, then
+# Lehman's if Hart finds nothing, above it by rho; the bound keeps every
+# a**2 - 4 k v of Lehman's sweep and every s**2 - M v i of Hart's exact
+# in wrapping uint64 and float64 (module docstring)
 _LEHMAN_LIMIT = 1 << 50
-_BLOCK = 4096  # entries per numpy temporary of the Lehman split
+_BLOCK = 4096  # entries per numpy temporary of the Hart and Lehman splits
+_HART_MULTIPLIER = 480  # Hart's M; M v < 2**59 below _LEHMAN_LIMIT
 _EPS = 2.0 ** -10  # float-safe margin on the ends of each range of a
 _VERDICT_CACHE = 256  # verdicts kept by is_probable_prime and perfect_power each
 
@@ -265,6 +307,36 @@ def _lehman(v: int) -> int:
     raise AssertionError(f"Lehman's sweep found no factor of {v}")
 
 
+def _hart(v: int) -> int | None:
+    """A proper factor of a composite v < 2**50, or None, by Hart's
+    one-line method with multiplier M = _HART_MULTIPLIER.
+
+    Runs over i = 1..floor(v**(1/3)) in blocks and returns the first
+    proper gcd(s - t, v), in i order, with s = ceil(sqrt(M v i)) and
+    s**2 - M v i = t**2.  The module docstring shows that each test is
+    exact, so that this is the first such factor, and bounds the work.
+    """
+    mv = _HART_MULTIPLIER * v
+    top = iroot(v, 3) + 1
+    for start in range(1, top, _BLOCK):
+        i = np.arange(start, min(start + _BLOCK, top), dtype=np.uint64)
+        sc = np.ceil(np.sqrt(i * float(mv)))
+        s = sc.astype(np.uint64)
+        m = s * s - i * np.uint64(mv)
+        f = np.sqrt(m.astype(np.float64))
+        # a square m, or a row whose float ceiling sc is not s
+        for j in np.flatnonzero((f == np.floor(f)) | (m >= s + s - 1)):
+            n = mv * (start + int(j))
+            sj = math.isqrt(n - 1) + 1
+            mj = sj * sj - n
+            t = math.isqrt(mj)
+            if t * t == mj:
+                g = math.gcd(sj - t, v)
+                if 1 < g < v:
+                    return g
+    return None
+
+
 def _brent_rho(n: int, rng: random.Random, budget: list[int]) -> int | None:
     """One Brent-cycle attempt on an odd n (factorize has divided out 2);
     returns a nontrivial factor or None."""
@@ -305,9 +377,11 @@ def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
 
     Trial division by the primes below 2**10, then, for each cofactor
     that Miller-Rabin does not certify prime and that is not a perfect
-    power, a split by Lehman's method below 2**50 and by Brent rho from
-    2**50 up.  Below 2**50 the work is bounded and deterministic, and
-    rho_budget does not apply.  Raises FactorizationTimeout when the rho
+    power, a split by Hart's method below 2**50, by Lehman's method when
+    Hart's finds no factor, and by Brent rho from 2**50 up.  Below 2**50
+    the work is bounded and deterministic, and rho_budget does not
+    apply.  The result is the unique factorization, whichever method
+    splits a cofactor.  Raises FactorizationTimeout when the rho
     budget runs out, which callers report distinctly from a wrong-order
     verdict.
     """
@@ -340,7 +414,7 @@ def factorize(n: int, rho_budget: int = _DEFAULT_RHO_BUDGET) -> dict[int, int]:
                 stack.append(base)
             continue
         if v < _LEHMAN_LIMIT:
-            f = _lehman(v)
+            f = _hart(v) or _lehman(v)
         else:
             if rng is None:
                 rng = random.Random(n ^ 0xD1B54A32D192ED03)

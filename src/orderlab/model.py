@@ -195,8 +195,7 @@ class ModNGroup:
     a**lam = 1 and pow reduces k mod lam, for every k, negative k and
     k >= lam included.  Post-processing stays blind: it sees only pow
     and is_identity, and the exponent meter is charged from the k that
-    post-processing asks for, never from k % lam.  Element creation
-    validates coprimality.
+    post-processing asks for, never from k % lam.
     """
 
     def __init__(self, N: int, lam: int):
@@ -206,12 +205,6 @@ class ModNGroup:
             raise ValueError(f"lambda(N) must be positive, got {lam}")
         self.N = N
         self.lam = lam
-
-    def element(self, x: int) -> int:
-        x %= self.N
-        if math.gcd(x, self.N) != 1:
-            raise ValueError(f"{x} is not a unit mod {self.N}")
-        return x
 
     def pow(self, a: int, k: int) -> int:
         return pow(a, k % self.lam, self.N)

@@ -5,7 +5,7 @@ import random
 import types
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orderlab import bounds, factorint
 from orderlab.factorint import (
@@ -339,6 +339,19 @@ def reference_lehman(v: int) -> tuple[int, int, int]:
     raise AssertionError(f"no factor of {v}")
 
 
+def reference_hart(v: int) -> tuple[int, int, int] | None:
+    """_hart in Python ints, as (i, s, factor): the first proper
+    gcd(s - t, v) in i order over i = 1..floor(v**(1/3)), with
+    s = ceil(sqrt(480 v i)) and s**2 - 480 v i = t**2, or None."""
+    for i in range(1, iroot(v, 3) + 1):
+        n = 480 * v * i
+        s = math.isqrt(n - 1) + 1
+        t = math.isqrt(s * s - n)
+        if t * t == s * s - n and 1 < math.gcd(s - t, v) < v:
+            return i, s, math.gcd(s - t, v)
+    return None
+
+
 def next_prime(n: int) -> int:
     while not is_probable_prime(n):
         n += 1
@@ -380,8 +393,9 @@ def expected(*primes: int) -> dict[int, int]:
 
 
 class TestLehmanSplit:
-    """Composite cofactors below 2**50 are split by Lehman's method; the
-    factorization equals the rho-only reference's."""
+    """Composite cofactors below 2**50 are split by Hart's method, or by
+    Lehman's when Hart's finds nothing; the factorization equals the
+    rho-only reference's."""
 
     @given(st.lists(st.integers(1 << 10, 1 << 25), min_size=2, max_size=3))
     @settings(max_examples=200, deadline=None)
@@ -444,24 +458,38 @@ class TestLehmanSplit:
             assert factorint._lehman(p * q) in (p, q)
 
     def test_either_side_of_the_cutoff(self, monkeypatch):
-        # Lehman splits every composite cofactor below 2**50, rho every one from 2**50 up
+        # below 2**50 Hart splits first and Lehman only after Hart finds
+        # nothing, never rho; from 2**50 up only rho.  The balanced product
+        # below the cutoff is split by Hart, the unbalanced one by Lehman.
         p = prev_prime(1 << 25)
-        below = [(p, prev_prime((LIMIT - 1) // p)), (1031, prev_prime((LIMIT - 1) // 1031))]
+        below = [(p, prev_prime((LIMIT - 1) // p), ["hart"]),
+                 (1031, prev_prime((LIMIT - 1) // 1031), ["hart", "lehman"])]
         above = [(p, next_prime(LIMIT // p + 1)), (1031, next_prime(LIMIT // 1031 + 1))]
-        cases = [(p, q, "lehman") for p, q in below] + [(p, q, "rho") for p, q in above]
+        cases = below + [(p, q, ["rho"]) for p, q in above]
         for p, q, _ in cases:
             assert reference_factorize(p * q) == {p: 1, q: 1}
         calls = []
-        real_lehman, real_rho = factorint._lehman, factorint._brent_rho
-        monkeypatch.setattr(factorint, "_lehman", lambda v: calls.append(("lehman", v)) or real_lehman(v))
-        monkeypatch.setattr(
-            factorint, "_brent_rho", lambda v, *a: calls.append(("rho", v)) or real_rho(v, *a)
-        )
-        for p, q, method in cases:
+
+        def spy(name, real):
+            def call(v, *a):
+                out = real(v, *a)
+                calls.append((name, v, out))
+                return out
+            return call
+
+        for name, attr in (("hart", "_hart"), ("lehman", "_lehman"), ("rho", "_brent_rho")):
+            monkeypatch.setattr(factorint, attr, spy(name, getattr(factorint, attr)))
+        for p, q, methods in cases:
             calls.clear()
-            assert (p * q < LIMIT) == (method == "lehman")
+            assert (p * q < LIMIT) == (methods[0] == "hart")
             assert factorize(p * q) == {p: 1, q: 1}
-            assert {m for m, _ in calls} == {method} and calls[0][1] == p * q
+            assert {v for _, v, _ in calls} == {p * q}
+            names = [m for m, _, _ in calls]
+            if p * q < LIMIT:
+                # Hart first, Lehman only after Hart returns None, never rho
+                assert names == (["hart"] if calls[0][2] else ["hart", "lehman"]) == methods
+            else:
+                assert set(names) == {"rho"}
 
     def test_factor_op_moduli_and_their_carmichael_values(self):
         for n in factor_op_moduli(8000):
@@ -523,3 +551,63 @@ class TestLehmanSplit:
         assert factorint._lehman(v) == q
         assert factorize(v) == {p: 1, q: 1}
 
+
+class TestHartSplit:
+    """Hart's one-line method with multiplier 480 returns exactly the first
+    proper factor of the Python-int reference, or None."""
+
+    @given(st.lists(st.integers(1 << 10, 1 << 25), min_size=2, max_size=3))
+    @example([1031, 1092046466383])  # q = prev_prime((LIMIT - 1) // 1031): Hart finds nothing
+    @settings(max_examples=100, deadline=None)
+    def test_matches_int_reference(self, starts):
+        v = math.prod(next_prime(x) for x in starts)
+        assume(v < LIMIT)
+        found = reference_hart(v)
+        assert factorint._hart(v) == (found[2] if found else None)
+
+    def test_finds_every_factor_op_modulus(self):
+        # the fast path of the `factor` benchmark: Hart splits each N alone
+        for seed in (8000, 9000):
+            for n in factor_op_moduli(seed):
+                f = factorint._hart(n)
+                assert f is not None and 1 < f < n and n % f == 0, n
+
+    def test_largest_i_at_the_cutoff(self):
+        # the first hit is at i = 83226 of 104031, in the 21st block; there
+        # 480 v i and s**2 pass 2**64 and the uint64 difference wraps
+        p, q = 28030627, 40166761
+        v = p * q
+        assert v < LIMIT and iroot(v, 3) == 104031
+        i, s, f = reference_hart(v)
+        assert (i, s, f) == (83226, 212080110981, p)
+        assert (480 * v * i).bit_length() > 64 and (s * s).bit_length() > 64
+        assert factorint._hart(v) == p
+        assert factorize(v) == {p: 1, q: 1}
+
+    def test_float_ceiling_one_above_the_root(self, monkeypatch):
+        # at each first hit float64 rounds sqrt(480 v i) up past the integer
+        # s, and the row must still be tried at s, not s + 1.  First,
+        # q = 120 i p + 1 and s = 240 i p + 1 give 480 v i = s**2 - 1, t = 1.
+        # Second, v = p**2 q and i = 30 q make 480 v i = (120 p q)**2 a
+        # square, t = 0 and gcd(s, v) = p q; at the float ceiling s + 1 the
+        # row reads m = 2 s + 1 = 2 (s + 1) - 1, the edge of the flag.  The
+        # spy on gcd tells which s - t the sweep tried last.
+        tried = []
+
+        def gcd(x, y):
+            tried.append(x)
+            return math.gcd(x, y)
+
+        p, q, i = 359137, 3102943681, 72
+        assert q == 120 * i * p + 1
+        p2, q2 = 1043213, 1033
+        cases = [(p * q, i, 240 * i * p + 1, 1, p), (p2 * p2 * q2, 30 * q2, 120 * p2 * q2, 0, p2 * q2)]
+        for v, i, s, t, f in cases:
+            assert v < LIMIT and 480 * v * i == s * s - t * t
+            assert math.ceil(math.sqrt(i * float(480 * v))) == s + 1
+            assert reference_hart(v) == (i, s, f)
+        monkeypatch.setattr(factorint, "math", types.SimpleNamespace(gcd=gcd, isqrt=math.isqrt))
+        for v, i, s, t, f in cases:
+            tried.clear()
+            assert factorint._hart(v) == f
+            assert tried[-1] == s - t
