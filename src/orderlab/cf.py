@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .model import Params, check_window
+from .model import check_window
 
 
 def _shared_prefix(N: int, qmax: int, lo: int, hi: int):
@@ -61,8 +61,9 @@ def _finish(a: int, b: int, q_prev: int, q: int, qmax: int) -> int:
     return q
 
 
-def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
-    """solve_cf of each offset (j + k) mod 2**n, k = -B..B, in offset order.
+def solve_cf_window(j: int, B: int, n: int) -> list[int]:
+    """solve_cf of each offset (j + k) mod 2**n, k = -B..B, in offset order,
+    for the register width n = m + ell.
 
     The window is one run lo..hi of 2B + 1 consecutive integers,
     lo = (j - B) mod N, and hi = lo + 2B may pass N: the offset o stands
@@ -90,7 +91,7 @@ def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
     no step), or after one step when hi = N: it shares no work, but occurs
     only near z = 0.
     """
-    N = params.two_n
+    N = 1 << n
     check_window(j, B, N)
     qmax = math.isqrt(N - 1)
     if not B:
@@ -101,8 +102,8 @@ def solve_cf_window(j: int, B: int, params: Params) -> list[int]:
     return [_finish(a_lo + sa * k, b_lo + sb * k, q_prev, q, qmax) for k in range(w + 1)]
 
 
-def solve_cf(j: int, params: Params) -> int:
+def solve_cf(j: int, n: int) -> int:
     """Order candidate from frequency j: denominator of the last convergent
-    of j / 2**n with denominator below 2**(n/2), as the one-offset
-    window.  j = 0 yields the degenerate candidate 1."""
-    return solve_cf_window(j, 0, params)[0]
+    of j / 2**n with denominator below 2**(n/2), n the register width, as
+    the one-offset window.  j = 0 yields the degenerate candidate 1."""
+    return solve_cf_window(j, 0, n)[0]

@@ -138,7 +138,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Params, centre_out, check_window
+from .model import centre_out, check_window
 
 
 class Vec(NamedTuple):
@@ -154,11 +154,6 @@ def norm4(v: Vec) -> int:
 def dot4(a: Vec, b: Vec) -> int:
     """4 <a, b>, an exact integer."""
     return 4 * a.x * b.x + a.y2 * b.y2
-
-
-def basis_for(j: int, params: Params) -> tuple[Vec, Vec]:
-    N = params.two_n
-    return Vec(j % N, 1), Vec(N, 0)
 
 
 @dataclass(frozen=True)
@@ -199,24 +194,25 @@ def _lagrange(x1: int, y1: int, x2: int, y2: int) -> ReducedBasis:
     return ReducedBasis(s1=Vec(x1, y1), s2=Vec(x2, y2))
 
 
-def lagrange_reduce(j: int, params: Params) -> ReducedBasis:
-    """Gauss/Lagrange reduction of the frequency lattice for j.
+def lagrange_reduce(j: int, n: int) -> ReducedBasis:
+    """Gauss/Lagrange reduction of the frequency lattice for j at the
+    register width n = m + ell.
 
     Exact arithmetic on bare ints, from the basis (o, 1), (2**n, 0) with
     o = j mod 2**n.
     """
-    (x1, y1), (x2, y2) = basis_for(j, params)
-    return _lagrange(x1, y1, x2, y2)
+    N = 1 << n
+    return _lagrange(j % N, 1, N, 0)
 
 
-def reduce_window(j: int, B: int, params: Params) -> list[ReducedBasis]:
+def reduce_window(j: int, B: int, n: int) -> list[ReducedBasis]:
     """lagrange_reduce of each offset (j + k) mod 2**n, k = -B..B, in offset order.
 
     The first offset is reduced from scratch and each later one from its
     left neighbour's basis, sheared by one (module docstring).
     """
-    check_window(j, B, params.two_n)
-    rb = lagrange_reduce(j - B, params)
+    check_window(j, B, 1 << n)
+    rb = lagrange_reduce(j - B, n)
     window = [rb]
     for _ in range(2 * B):
         (x1, y1), (x2, y2) = rb.s1, rb.s2
@@ -225,7 +221,7 @@ def reduce_window(j: int, B: int, params: Params) -> list[ReducedBasis]:
     return window
 
 
-def solve_shortest(j: int, params: Params) -> int:
+def solve_shortest(j: int, n: int) -> int:
     """Order candidate from the shortest reduced vector: 2 |(s1)_2|.
 
     The frequency lattice never has a shortest vector on the x axis
@@ -233,7 +229,7 @@ def solve_shortest(j: int, params: Params) -> int:
     bound), so the candidate is a positive integer; j = 0 degenerates
     to candidate 1.
     """
-    rb = lagrange_reduce(j, params)
+    rb = lagrange_reduce(j, n)
     cand = abs(rb.s1.y2)
     assert cand != 0, "shortest vector on the x axis cannot happen for this lattice"
     return cand
@@ -255,19 +251,19 @@ class EnumerationResult:
     case: int
 
 
-def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> EnumerationResult:
+def enumerate_candidates(rb: ReducedBasis, m: int, ell: int) -> EnumerationResult:
     """All order candidates 2 w_2 from lattice vectors with |w| < 2**(m-1/2),
-    given rb, the reduced basis of j (lagrange_reduce or reduce_window).
+    given rb, the reduced basis of a frequency j at the register width
+    m + ell (lagrange_reduce or reduce_window).
 
     If the reduced basis certifies that only multiples of s1 can be that
     short (case 1), the single candidate 2 |(s1)_2| is returned without
     enumeration.  Otherwise the candidates are 2 w_2 over the vectors in
     the coordinate box |w_1| < 2**(m-1), 0 < w_2 < 2**(m-1) that any true
-    order vector satisfies: offset j's strip, which lies inside the
+    order vector satisfies: the offset's strip, which lies inside the
     circle (module docstring), read by _triangle.  Two box vectors with
     equal w_2 would differ by a nonzero multiple of (2**n, 0), wider than
-    the box, so the candidates are distinct.  j is not read: the basis
-    carries everything, and j stays for callers that name the frequency.
+    the box, so the candidates are distinct.
     The pipeline takes whole windows through window_candidates; this
     per-offset enumeration is criterion 07's subject and its oracle.
 
@@ -284,25 +280,25 @@ def enumerate_candidates(j: int, params: Params, rb: ReducedBasis) -> Enumeratio
     count never exceeds the budget ceil(6 sqrt(3) 2**delta),
     delta = max(0, m - ell) (module docstring).
     """
-    m = params.m
+    n = m + ell
     A = norm4(rb.s1)
 
     # case 1: lambda2_perp >= 2**(m - 1/2), i.e. 2**(2n) / A >= 2**(2m-1)
-    if 1 << (2 * params.n) >= A << (2 * m - 1):
+    if 1 << (2 * n) >= A << (2 * m - 1):
         return EnumerationResult(candidates=[abs(rb.s1.y2)], visited=1, case=1)
 
     Bc = dot4(rb.s1, rb.s2)
     AR4 = A << (2 * m + 1)  # A R4, where norm4(w) < R4  <=>  |w| < 2**(m - 1/2)
-    det_shift = 2 * params.n + 2  # A norm4(s2) - Bc**2 = 2**(2n+2)
+    det_shift = 2 * n + 2  # A norm4(s2) - Bc**2 = 2**(2n+2)
     # outer range: m2^2 * 2**(2n) < 2**(2m-1) * A  (lambda2_perp bound), so
     # every row up to m2_max has disc = A R4 - 2**(2n+2) m2**2 > 0
-    m2_max = math.isqrt(((A << (2 * m - 1)) - 1) >> (2 * params.n))
+    m2_max = math.isqrt(((A << (2 * m - 1)) - 1) >> (2 * n))
     visited = math.isqrt(AR4 - 1) // A + 1  # row 0: k + 1
     for m2 in range(1, m2_max + 1):
         s = math.isqrt(AR4 - ((m2 * m2) << det_shift) - 1)  # s**2 < disc
         c = -Bc * m2
         visited += (c + s) // A + (s - c) // A + 1  # hi - lo + 1 >= 0, as s >= 0
-    return EnumerationResult(candidates=_triangle(rb, _STRIP, params), visited=visited, case=2)
+    return EnumerationResult(candidates=_triangle(rb, _STRIP, m, ell), visited=visited, case=2)
 
 
 # The strip of one offset and the three triangles of the window (module
@@ -317,7 +313,7 @@ _LEFT_SLIVER = (((2, 0, 1, -1), (-2, -1, 1, 0), (0, 1, 1, 0)), ((-1, 0), (-1, 2)
 _RIGHT_SLIVER = (((-2, 0, 1, -1), (2, -1, 0, 0), (0, 1, 1, 0)), ((1, 0), (1, 2)))
 
 
-def _triangle(rb: ReducedBasis, region, params: Params) -> list[int]:
+def _triangle(rb: ReducedBasis, region, m: int, ell: int) -> list[int]:
     """The second coordinates y2 of the points of rb's lattice in one
     region, in descending order.  A region is a convex polygon: its
     constraints and its vertices, which span it together with the origin.
@@ -335,13 +331,13 @@ def _triangle(rb: ReducedBasis, region, params: Params) -> list[int]:
     """
     constraints, vertices = region
     (x1, y1), (x2, y2) = rb.s1, rb.s2
-    shift = params.ell + 1
+    shift = ell + 1
     sign = 1 if x1 * y2 > y1 * x2 else -1
     ends = [0] + [sign * (x1 * Y - y1 * X) for X, Y in vertices]
     bottom, top = -(-min(ends) >> shift), max(ends) >> shift
     lows, highs = [], []
     for alpha, beta, g0, gT in constraints:
-        a, e, g = alpha * x1 + beta * y1, alpha * x2 + beta * y2, g0 + (gT << params.m)
+        a, e, g = alpha * x1 + beta * y1, alpha * x2 + beta * y2, g0 + (gT << m)
         if a > 0:
             lows.append((a, e, g))  # m1 >= ceil((g - e m2) / a)
         elif a < 0:
@@ -364,7 +360,7 @@ def _triangle(rb: ReducedBasis, region, params: Params) -> list[int]:
     return out
 
 
-def window_candidates(params: Params, window: list[ReducedBasis]) -> list[int]:
+def window_candidates(window: list[ReducedBasis], m: int, ell: int) -> list[int]:
     """The order candidates of a window j-B..j+B, given its reduced bases
     in offset order (reduce_window): the union of enumerate_candidates over
     its offsets, as cones and slivers (module docstring).
@@ -374,19 +370,19 @@ def window_candidates(params: Params, window: list[ReducedBasis]) -> list[int]:
     the slivers of each run of case-2 offsets, in descending order.  A
     candidate repeats only across runs, or when 2B + 1 > 2**ell.
     """
-    m, n = params.m, params.n
+    n = m + ell
     case2 = [1 << (2 * n) < norm4(rb.s1) << (2 * m - 1) for rb in window]
     out: list[int] = []
     for rb, is2 in centre_out(list(zip(window, case2))):
         if is2:
-            out += _triangle(rb, _CONE, params)
+            out += _triangle(rb, _CONE, m, ell)
         else:
             out.append(abs(rb.s1.y2))
     for is2, run in itertools.groupby(zip(window, case2), lambda pair: pair[1]):
         if is2:
             run = list(run)
-            slivers = (_triangle(run[-1][0], _LEFT_SLIVER, params)
-                       + _triangle(run[0][0], _RIGHT_SLIVER, params))
+            slivers = (_triangle(run[-1][0], _LEFT_SLIVER, m, ell)
+                       + _triangle(run[0][0], _RIGHT_SLIVER, m, ell))
             slivers.sort(reverse=True)
             out += slivers
     return out

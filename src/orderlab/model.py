@@ -30,17 +30,16 @@ def round_half_up(x) -> int:
 
 @dataclass(frozen=True)
 class Params:
-    """Instance parameters: order r, register split m + ell, window B.
+    """Instance parameters: order r and register split m + ell.
 
-    Invariants enforced on construction:
-      r >= 2 and 2**m > r, ell >= 1;
-      B (if set) satisfies 1 <= B < B_max, i.e. r*(2B+1) < 2**(m+ell).
+    Invariants enforced on construction: r >= 2 and 2**m > r, ell >= 1.
+    It has no window half-width: post-processing takes B and the register
+    as ints, and never sees r.
     """
 
     r: int
     m: int
     ell: int
-    B: int | None = None
 
     def __post_init__(self):
         if self.r < 2:
@@ -49,15 +48,6 @@ class Params:
             raise ValueError(f"need 2**m > r, got m={self.m}, r={self.r}")
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if self.B is not None:
-            if self.B < 1:
-                raise ValueError(f"B must be >= 1, got {self.B}")
-            # B < B_max = (2**n/r - 1)/2, checked without rationals
-            if self.r * (2 * self.B + 1) >= (1 << (self.m + self.ell)):
-                raise ValueError(
-                    f"B={self.B} reaches past the peak spacing for r={self.r}, "
-                    f"m={self.m}, ell={self.ell}"
-                )
 
     @property
     def n(self) -> int:

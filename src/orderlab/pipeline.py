@@ -4,11 +4,15 @@ A run is split at the draw.  run_once clamps the window half-width B
 so that it never reaches past the peak cell of the true order, draws
 one frequency j from the exact measurement distribution, hands j to
 post_process and compares what comes back with the true order.
-post_process is blind: from j alone it solves the window j-B..j+B
-into order candidates with the configured strategy, filters them with
-one smooth power of the generator and recovers the order from the
-survivors.  Monte Carlo wraps independent runs into a deterministic
-report whose empirical rate is compared against the analytic bound.
+post_process is blind: it takes no order, only j, the half-width B and
+the register (m, ell) as ints.  It solves the window j-B..j+B into order
+candidates with the configured strategy, filters them with one smooth
+power of the generator and recovers the order from the survivors.  The
+one value it gets that depends on the true r is the clamped B,
+min(B, floor((2**n - r) / 2r)), which binds only at tiny registers:
+`orderlab factor --N 15` has m = ell = 3, and r = 4 gives 7 < 10.
+Monte Carlo wraps independent runs into a deterministic report whose
+empirical rate is compared against the analytic bound.
 
 Failures carry one of four reasons:
   tail        the sampled frequency fell outside the offset budget;
@@ -40,13 +44,14 @@ FAILURE_REASONS = ("tail", "no_candidate", "unsmooth_d", "budget")
 
 
 class Strategy(NamedTuple):
-    """A solver strategy: a function from the window j-B..j+B to its order
-    candidates, one flat list of ints taken centre-out,
+    """A solver strategy: a function of (j, B, m, ell), from the window
+    j-B..j+B of the register m + ell to its order candidates, one flat
+    list of ints taken centre-out,
     k = 0, +1, -1, ..., +B, -B (by offset for cf and lattice, by the
     window's cones for enumerate: lattice.window_candidates); and the
     elimination mode of the analytic bound covering it."""
 
-    candidates: Callable[[int, Params], list[int]]
+    candidates: Callable[[int, int, int, int], list[int]]
     elimination: str
 
 
@@ -58,17 +63,21 @@ class Strategy(NamedTuple):
 # its cones centre-out.
 STRATEGIES = {
     # the last continued-fraction convergent below 2**(n/2) of each offset
-    "cf": Strategy(lambda j, p: centre_out(cf.solve_cf_window(j, p.B, p)), "sqrt"),
+    "cf": Strategy(lambda j, B, m, ell: centre_out(cf.solve_cf_window(j, B, m + ell)), "sqrt"),
     # the shortest vector of each offset's reduced frequency lattice
     # (lattice.solve_shortest), the window reduced once
     "lattice": Strategy(
-        lambda j, p: [abs(rb.s1.y2) for rb in centre_out(lattice.reduce_window(j, p.B, p))],
+        lambda j, B, m, ell: [
+            abs(rb.s1.y2) for rb in centre_out(lattice.reduce_window(j, B, m + ell))
+        ],
         "sqrt",
     ),
     # every short lattice vector, with the reduced register ell = m - delta: the
     # window is reduced once and its candidates taken cone by cone, centre-out
     "enumerate": Strategy(
-        lambda j, p: lattice.window_candidates(p, lattice.reduce_window(j, p.B, p)),
+        lambda j, B, m, ell: lattice.window_candidates(
+            lattice.reduce_window(j, B, m + ell), m, ell
+        ),
         "pow2ell",
     ),
 }
@@ -133,23 +142,25 @@ def _smoothness_context(c: float, m: int) -> recovery.SmoothnessContext:
 
 
 def post_process(
-    group, g, j: int, params: Params, config: RunConfig, meter: recovery.ExponentMeter
+    group, g, j: int, B: int, config: RunConfig, meter: recovery.ExponentMeter
 ) -> tuple[int | None, str | None]:
     """The blind classical half of a run: the order recovered from the
-    frequency j, and the reason it failed ("no_candidate"), or None.
-    It never books "budget", which no enumeration can exceed.
+    frequency j and the window half-width B, and the reason it failed
+    ("no_candidate"), or None.  It never books "budget", which no
+    enumeration can exceed.
 
-    Never reads params.r; it uses only m, ell and the window half-width B.
-    The strategy's candidates of the window j-B..j+B go to the recovery,
-    whose filter takes each once, in first-seen order, and skips those
-    outside [1, 2**m).
+    It takes no order: the register (m, ell) comes from config, and B
+    from run_once, which clamps config.B with the true r (module
+    docstring).  The strategy's candidates of the window j-B..j+B go to
+    the recovery, whose filter takes each once, in first-seen order, and
+    skips those outside [1, 2**m).
     The cf and lattice strategies give one candidate per offset, which
     neighbouring offsets often share; enumerate repeats one only where a
     case-1 offset splits the window or when 2B + 1 > 2**ell.  It
     recovers the order r of g exactly when some in-range candidate c
     alone has recover(group, g, c, ctx) == r.
     """
-    candidates = STRATEGIES[config.strategy].candidates(j, params)
+    candidates = STRATEGIES[config.strategy].candidates(j, B, config.m, config.ell)
     top = 1 << config.m
     if not any(1 <= cand < top for cand in candidates):
         return None, "no_candidate"
@@ -163,20 +174,24 @@ def post_process(
 def run_once(group, g, true_r: int, config: RunConfig, rng: Rng) -> RunOutcome:
     """One simulated measurement plus full classical post-processing.
 
-    true_r drives the measurement simulation only; post_process sees
-    nothing but the frequency and group elements.  Success means the
-    recovered order equals true_r exactly.
+    true_r drives the measurement simulation and the clamp of B only;
+    post_process sees the frequency, the clamped B, the config and the
+    group elements.  Success means the recovered order equals true_r
+    exactly.
     """
     # the window never reaches past the peak cell; tiny registers
-    # (small factoring moduli) clamp the requested half-width
+    # (small factoring moduli) clamp the requested half-width.  The clamp
+    # leaves 1 <= b_eff < B_max: RunConfig asks ell >= 2, so
+    # 2**n >= 4 * 2**m > 4r and (2**n - r) // 2r >= 1; and
+    # r (2 b_eff + 1) <= 2**n, where equality would need the odd
+    # 2 b_eff + 1 > 1 to divide 2**n
     n_reg = 1 << (config.m + config.ell)
     b_eff = min(config.B, (n_reg - true_r) // (2 * true_r))
-    params = Params(r=true_r, m=config.m, ell=config.ell, B=b_eff)
     meter = recovery.ExponentMeter()
-    drawn = Sampler(params, t_max=config.t_max).sample(rng)
+    drawn = Sampler(Params(r=true_r, m=config.m, ell=config.ell), t_max=config.t_max).sample(rng)
     order, reason = None, "tail"
     if drawn.t is not None:
-        order, reason = post_process(group, g, drawn.j, params, config, meter)
+        order, reason = post_process(group, g, drawn.j, b_eff, config, meter)
         if reason is None and order != true_r:
             reason = "unsmooth_d"
     return RunOutcome(

@@ -168,8 +168,8 @@ def test_criterion_06_solver_exactness_at_peaks():
         for z in range(r):
             j = peak(z, p).j0 % p.two_n
             want = r // math.gcd(r, z)
-            assert solve_cf(j, p) == want, (r, z, "cf")
-            assert solve_shortest(j, p) == want, (r, z, "lattice")
+            assert solve_cf(j, p.n) == want, (r, z, "cf")
+            assert solve_shortest(j, p.n) == want, (r, z, "lattice")
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -185,7 +185,7 @@ def test_criterion_07_enumeration_contains_order():
             budget = enumeration_budget(delta)
             for z in range(r):
                 j = peak(z, p).j0 % p.two_n
-                res = enumerate_candidates(j, p, lagrange_reduce(j, p))
+                res = enumerate_candidates(lagrange_reduce(j, p.n), p.m, p.ell)
                 r_tilde = r // math.gcd(r, z)
                 assert r_tilde in res.candidates, (r, delta, z)
                 assert res.visited <= budget, (r, delta, z, res.visited)

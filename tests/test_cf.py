@@ -122,15 +122,15 @@ class TestSolveCf:
     def test_validation(self):
         p = Params(r=5, m=3, ell=3)
         with pytest.raises(ValueError):
-            solve_cf(-1, p)
+            solve_cf(-1, p.n)
         with pytest.raises(ValueError):
-            solve_cf(p.two_n, p)
+            solve_cf(p.two_n, p.n)
 
     def test_degenerate_frequencies(self):
         p = Params(r=5, m=3, ell=3)
-        assert solve_cf(0, p) == 1
+        assert solve_cf(0, p.n) == 1
         # j = N - 1: value just below 1, last small-denominator convergent
-        assert solve_cf(p.two_n - 1, p) == _solve_reference(p.two_n - 1, p)
+        assert solve_cf(p.two_n - 1, p.n) == _solve_reference(p.two_n - 1, p)
 
     @given(st.integers(2, 120), st.data())
     @settings(max_examples=150, deadline=None)
@@ -138,20 +138,20 @@ class TestSolveCf:
         m = r.bit_length()
         p = Params(r=r, m=m, ell=m)
         j = data.draw(st.integers(0, p.two_n - 1))
-        assert solve_cf(j, p) == _solve_reference(j, p)
+        assert solve_cf(j, p.n) == _solve_reference(j, p)
 
     def test_threshold_is_strict(self):
         # q*q < N, not <=: engineered value with a denominator exactly sqrt(N)
         p = Params(r=3, m=2, ell=2)  # N = 16, threshold q < 4
         # 1/4 has convergents 0/1, 1/4; q = 4 fails 16 > 16 false -> stays 1
-        assert solve_cf(4, p) == 1
+        assert solve_cf(4, p.n) == 1
 
     def test_recovers_reduced_order_at_peaks(self):
         for r in (7, 12, 30, 41):
             p = Params(r=r, m=r.bit_length(), ell=r.bit_length())
             for z in range(r):
                 want = r // math.gcd(r, z)
-                assert solve_cf(peak(z, p).j0 % p.two_n, p) == want
+                assert solve_cf(peak(z, p).j0 % p.two_n, p.n) == want
 
 
 class TestAdmissibility:
@@ -185,18 +185,18 @@ class TestSolveCfWindow:
     def test_validation(self):
         p = Params(r=5, m=3, ell=3)
         with pytest.raises(ValueError):
-            solve_cf_window(-1, 1, p)
+            solve_cf_window(-1, 1, p.n)
         with pytest.raises(ValueError):
-            solve_cf_window(p.two_n, 1, p)
+            solve_cf_window(p.two_n, 1, p.n)
         with pytest.raises(ValueError):
-            solve_cf_window(0, -1, p)
+            solve_cf_window(0, -1, p.n)
 
     @given(st.integers(2, 120), st.integers(1, 6), st.integers(0, 12), st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_small_geometries(self, r, ell, B, data):
         p = Params(r=r, m=r.bit_length(), ell=ell)
         j = data.draw(st.integers(0, p.two_n - 1))
-        assert solve_cf_window(j, B, p) == _window_reference(j, B, p)
+        assert solve_cf_window(j, B, p.n) == _window_reference(j, B, p)
 
     def test_every_window_of_small_registers(self):
         # every frequency and every B <= 3, wrapping windows included, and
@@ -210,7 +210,7 @@ class TestSolveCfWindow:
             for B in range(3 * p.two_n // 2 if n <= 5 else 4):
                 for j in range(p.two_n):
                     want = [per_offset[(j + k) % p.two_n] for k in range(-B, B + 1)]
-                    assert solve_cf_window(j, B, p) == want, (n, B, j)
+                    assert solve_cf_window(j, B, p.n) == want, (n, B, j)
 
     def test_matches_reference_at_256_bits(self):
         # half the windows sit on a peak of a 128-bit order, where the
@@ -228,7 +228,7 @@ class TestSolveCfWindow:
                 j = rng.randrange(-B, B + 1) % N
             else:
                 j = rng.randrange(N)
-            assert solve_cf_window(j, B, p) == _window_reference(j, B, p), (r, j, B)
+            assert solve_cf_window(j, B, p.n) == _window_reference(j, B, p), (r, j, B)
 
     @pytest.mark.parametrize("n", [9, 10, 93, 94, 255, 256, 257])
     def test_threshold_at_isqrt(self, n):
@@ -244,7 +244,7 @@ class TestSolveCfWindow:
             for z in zs:
                 j = (2 * z * N + Q) // (2 * Q)
                 assert (z, Q) in cf_expand(j, N), (n, Q, z)
-                got = solve_cf_window(j, 0, p)[0]
+                got = solve_cf_window(j, 0, p.n)[0]
                 assert got == _solve_cf_reference(j, p), (n, Q, z)
                 assert (got == Q) == kept, (n, Q, z, got)
 
@@ -264,4 +264,4 @@ class TestSolveCfWindow:
                 j = rng.randrange(-B, B + 1) % N
             else:
                 j = rng.randrange(N)
-            assert solve_cf_window(j, B, p) == _window_reference(j, B, p), (r, j, B)
+            assert solve_cf_window(j, B, p.n) == _window_reference(j, B, p), (r, j, B)

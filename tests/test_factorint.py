@@ -404,6 +404,10 @@ class TestLehmanSplit:
         n = math.prod(primes)
         assume(n < LIMIT)
         assert factorize(n) == reference_factorize(n) == expected(*primes)
+        if len(primes) == 3:
+            # Hart splits n inside factorize; Lehman's trial division finds
+            # the least prime, which is at most n**(1/3)
+            assert factorint._lehman(n) == reference_lehman(n)[2]
 
     @given(st.integers(1 << 10, 1 << 25), st.integers(1 << 10, 1 << 25))
     @settings(max_examples=100, deadline=None)
@@ -426,6 +430,7 @@ class TestLehmanSplit:
         # p**2 q is no perfect power; its least prime factor is at most v**(1/3)
         p, q = 1031, prev_prime(LIMIT // 1031 ** 2)
         assert factorize(p * p * q) == reference_factorize(p * p * q) == {p: 2, q: 1}
+        assert factorint._lehman(p * p * q) == reference_lehman(p * p * q)[2]
 
     def test_trial_division_branch(self):
         for q in (next_prime(1 << 26), prev_prime((LIMIT - 1) // 1031)):

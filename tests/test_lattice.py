@@ -12,7 +12,6 @@ from orderlab.lattice import (
     EnumerationResult,
     ReducedBasis,
     Vec,
-    basis_for,
     dot4,
     enumerate_candidates,
     lagrange_reduce,
@@ -24,7 +23,7 @@ from orderlab.lattice import (
 from orderlab.model import Params, peak
 
 
-def canonical(rb: ReducedBasis, params: Params) -> ReducedBasis:
+def canonical(rb: ReducedBasis, n: int) -> ReducedBasis:
     """The canonical form of a reduced basis, as the lattice module
     docstring states it: each second coordinate negative, or 0 with a
     negative first coordinate; at o = 2**(n-1), where s1 = (0, -2),
@@ -35,7 +34,7 @@ def canonical(rb: ReducedBasis, params: Params) -> ReducedBasis:
 
     s1, s2 = negative(rb.s1), negative(rb.s2)
     if s1 == Vec(0, -2):
-        half = params.two_n // 2
+        half = 1 << (n - 1)
         assert s2 in (Vec(half, -1), Vec(-half, -1))
         s2 = Vec(half, -1)
     return ReducedBasis(s1=s1, s2=s2)
@@ -48,10 +47,10 @@ class TestNormAndBasis:
         assert dot4(a, b) == 4 * 3 * -2 + 5
 
     def test_basis(self):
-        p = Params(r=5, m=3, ell=4)
-        b1, b2 = basis_for(p.two_n + 3, p)
-        assert b1 == Vec(3, 1)
-        assert b2 == Vec(p.two_n, 0)
+        # the reduction starts from (j mod 2**n, 1), (2**n, 0)
+        n = 7
+        assert lagrange_reduce((1 << n) + 3, n) == lagrange_reduce(3, n)
+        assert lagrange_reduce(3, n) == canonical(reference_lagrange_reduce(3, n), n)
 
 
 class TestLagrangeReduce:
@@ -60,7 +59,7 @@ class TestLagrangeReduce:
     def test_reduction_invariants(self, n_half, data):
         p = Params(r=3, m=2, ell=max(1, n_half - 2))
         j = data.draw(st.integers(0, p.two_n - 1))
-        rb = lagrange_reduce(j, p)
+        rb = lagrange_reduce(j, p.n)
         # s_i = a_i (o, 1) + b_i (2**n, 0): a_i is the doubled second
         # coordinate, b_i an exact quotient, and the multiples are unimodular
         (a1, b1), (a2, b2) = (
@@ -82,7 +81,7 @@ class TestLagrangeReduce:
         # Lagrange s1 meets the 2-d Hermite bound: |s1|^2 <= (2/sqrt(3)) det
         for j in (0, 1, 77, 200, 255):
             p = Params(r=5, m=3, ell=5)
-            rb = lagrange_reduce(j, p)
+            rb = lagrange_reduce(j, p.n)
             assert 3 * norm4(rb.s1) ** 2 <= 16 * p.two_n ** 2
 
 
@@ -109,17 +108,14 @@ class TestCanonicalBasis:
             others.append(ReducedBasis(s1=rb.s1, s2=alt))
         else:
             assert abs(b) < a, (p.n, o)
-        assert all(canonical(other, p) == rb for other in others), (p.n, o)
+        assert all(canonical(other, p.n) == rb for other in others), (p.n, o)
 
     def test_every_offset_of_small_registers(self):
-        # every o at every split m + ell = n <= 12; the reduction reads n only
+        # every o at every register width n <= 12; the reduction takes n only
         for n in range(3, 13):
-            splits = [Params(r=3, m=m, ell=n - m) for m in range(2, n)]
-            bases = [lagrange_reduce(o, splits[0]) for o in range(splits[0].two_n)]
-            for o, rb in enumerate(bases):
-                self.assert_unique(o, splits[0], rb)
-            for p in splits[1:]:
-                assert [lagrange_reduce(o, p) for o in range(p.two_n)] == bases, (n, p.m)
+            p = Params(r=3, m=2, ell=n - 2)
+            for o in range(p.two_n):
+                self.assert_unique(o, p, lagrange_reduce(o, n))
 
     @pytest.mark.parametrize("n", [248, 256])
     def test_random_offsets_at_large_registers(self, n):
@@ -127,20 +123,20 @@ class TestCanonicalBasis:
         p = Params(r=3, m=128, ell=n - 128)
         N = p.two_n
         for o in (0, 1, N // 2 - 1, N // 2, N // 2 + 1, N - 1, *(rng.randrange(N) for _ in range(300))):
-            self.assert_unique(o, p, lagrange_reduce(o, p))
+            self.assert_unique(o, p, lagrange_reduce(o, p.n))
 
 
 class TestSolveShortest:
     def test_degenerate_zero(self):
         p = Params(r=5, m=3, ell=3)
-        assert solve_shortest(0, p) == 1
+        assert solve_shortest(0, p.n) == 1
 
     def test_recovers_reduced_order_at_peaks(self):
         for r in (7, 12, 30, 41, 60):
             p = Params(r=r, m=r.bit_length(), ell=r.bit_length())
             for z in range(r):
                 want = r // math.gcd(r, z)
-                assert solve_shortest(peak(z, p).j0 % p.two_n, p) == want
+                assert solve_shortest(peak(z, p).j0 % p.two_n, p.n) == want
 
     def test_agrees_with_cf_at_peaks(self):
         from orderlab.cf import solve_cf
@@ -149,7 +145,7 @@ class TestSolveShortest:
             p = Params(r=r, m=r.bit_length(), ell=r.bit_length())
             for z in range(r):
                 j = peak(z, p).j0 % p.two_n
-                assert solve_shortest(j, p) == solve_cf(j, p)
+                assert solve_shortest(j, p.n) == solve_cf(j, p.n)
 
 
 def brute_short_candidates(j: int, params: Params) -> set[int]:
@@ -179,7 +175,7 @@ class TestEnumeration:
     def test_case1_returns_single_candidate(self):
         p = Params(r=13, m=4, ell=4)
         j = peak(1, p).j0
-        res = enumerate_candidates(j, p, lagrange_reduce(j, p))
+        res = enumerate_candidates(lagrange_reduce(j, p.n), p.m, p.ell)
         assert res.case == 1
         assert res.candidates == [13]
         assert res.visited == 1
@@ -192,7 +188,7 @@ class TestEnumeration:
             delta = m - 1
         p = Params(r=r, m=m, ell=m - delta)
         j = data.draw(st.integers(0, p.two_n - 1))
-        res = enumerate_candidates(j, p, lagrange_reduce(j, p))
+        res = enumerate_candidates(lagrange_reduce(j, p.n), p.m, p.ell)
         assert res.visited <= enumeration_budget(delta)
         brute = brute_short_candidates(j, p)
         assert len(set(res.candidates)) == len(res.candidates)
@@ -210,13 +206,14 @@ class TestEnumeration:
                 p = Params(r=r, m=m, ell=m - delta)
                 for z in range(0, r, 5):
                     j = peak(z, p).j0 % p.two_n
-                    res = enumerate_candidates(j, p, lagrange_reduce(j, p))
+                    res = enumerate_candidates(lagrange_reduce(j, p.n), p.m, p.ell)
                     assert r // math.gcd(r, z) in res.candidates
 
 
-def reference_lagrange_reduce(j: int, params: Params) -> ReducedBasis:
-    """Lagrange reduction on Vec values, recomputing every norm."""
-    v1, v2 = basis_for(j, params)
+def reference_lagrange_reduce(j: int, n: int) -> ReducedBasis:
+    """Lagrange reduction on Vec values, recomputing every norm, from the
+    basis (j mod 2**n, 1), (2**n, 0)."""
+    v1, v2 = Vec(j % (1 << n), 1), Vec(1 << n, 0)
     if norm4(v1) > norm4(v2):
         v1, v2 = v2, v1
     while True:
@@ -236,7 +233,7 @@ def reference_enumerate_candidates(
     around rb (by default the canonical reference basis of j)."""
     m, n = params.m, params.n
     if rb is None:
-        rb = canonical(reference_lagrange_reduce(j, params), params)
+        rb = canonical(reference_lagrange_reduce(j, n), n)
     A = norm4(rb.s1)
     if 1 << (2 * n) >= A << (2 * m - 1):
         return EnumerationResult(candidates=[abs(rb.s1.y2)], visited=1, case=1)
@@ -280,8 +277,9 @@ class TestAgainstReference:
     visited included."""
 
     def assert_same(self, j: int, params: Params) -> EnumerationResult:
-        assert lagrange_reduce(j, params) == canonical(reference_lagrange_reduce(j, params), params)
-        res = enumerate_candidates(j, params, lagrange_reduce(j, params))
+        rb = lagrange_reduce(j, params.n)
+        assert rb == canonical(reference_lagrange_reduce(j, params.n), params.n)
+        res = enumerate_candidates(rb, params.m, params.ell)
         assert_like_reference(res, reference_enumerate_candidates(j, params))
         return res
 
@@ -316,14 +314,14 @@ class TestAgainstReference:
         signs = set()
         for i in range(12):
             r = rng.getrandbits(128) | (1 << 127) | 1
-            p = Params(r=r, m=128, ell=120, B=10)
+            p = Params(r=r, m=128, ell=120)
             j = peak(rng.randrange(r), p).j0 % p.two_n if i % 3 else rng.randrange(p.two_n)
             offsets = [(j + k) % p.two_n for k in range(-10, 11)]
-            for o, rb in zip(offsets, reduce_window(j, 10, p)):
-                got = enumerate_candidates(o, p, rb)
+            for o, rb in zip(offsets, reduce_window(j, 10, p.n)):
+                got = enumerate_candidates(rb, p.m, p.ell)
                 assert_like_reference(got, reference_enumerate_candidates(o, p))
                 negated = ReducedBasis(s1=Vec(-rb.s1.x, -rb.s1.y2), s2=Vec(-rb.s2.x, -rb.s2.y2))
-                got_negated = enumerate_candidates(o, p, negated)
+                got_negated = enumerate_candidates(negated, p.m, p.ell)
                 assert_like_reference(got_negated, reference_enumerate_candidates(o, p, negated))
                 assert got_negated.candidates == got.candidates
                 if got.case == 2:
@@ -339,7 +337,7 @@ class TestBudgetTheorem:
 
     @staticmethod
     def assert_within(j: int, p: Params, rb: ReducedBasis) -> EnumerationResult:
-        res = enumerate_candidates(j, p, rb)
+        res = enumerate_candidates(rb, p.m, p.ell)
         delta = p.m - p.ell
         assert res.visited <= enumeration_budget(max(0, delta)), (p, j)
         if delta < 0:
@@ -353,10 +351,10 @@ class TestBudgetTheorem:
 
     def test_every_offset_of_small_registers(self):
         # every j at every split m + ell = n <= 12 with ell >= 1 (and so
-        # m >= 2): 73,736 offsets; the reduction reads n only
+        # m >= 2): 73,736 offsets; the reduction takes n only
         cases, offsets = set(), 0
         for n in range(3, 13):
-            bases = [lagrange_reduce(o, Params(r=3, m=2, ell=n - 2)) for o in range(1 << n)]
+            bases = [lagrange_reduce(o, n) for o in range(1 << n)]
             for m in range(2, n):
                 p = Params(r=3, m=m, ell=n - m)
                 cases.update(self.assert_within(o, p, rb).case for o, rb in enumerate(bases))
@@ -375,12 +373,12 @@ class TestBudgetTheorem:
             q = Params(r=data.draw(st.integers(2, (1 << m) - 1)), m=m, ell=p.ell)
             z = data.draw(st.integers(0, q.r - 1))
             j = (peak(z, q).j0 + data.draw(st.integers(-10, 10))) % p.two_n
-        self.assert_within(j, p, lagrange_reduce(j, p))
+        self.assert_within(j, p, lagrange_reduce(j, p.n))
 
 
 def window_reference(j: int, B: int, params: Params) -> list[ReducedBasis]:
     """lagrange_reduce of each offset of the window, one at a time."""
-    return [lagrange_reduce((j + k) % params.two_n, params) for k in range(-B, B + 1)]
+    return [lagrange_reduce((j + k) % params.two_n, params.n) for k in range(-B, B + 1)]
 
 
 class TestReduceWindow:
@@ -390,11 +388,11 @@ class TestReduceWindow:
     def test_validation(self):
         p = Params(r=5, m=3, ell=3)
         with pytest.raises(ValueError):
-            reduce_window(-1, 1, p)
+            reduce_window(-1, 1, p.n)
         with pytest.raises(ValueError):
-            reduce_window(p.two_n, 1, p)
+            reduce_window(p.two_n, 1, p.n)
         with pytest.raises(ValueError):
-            reduce_window(0, -1, p)
+            reduce_window(0, -1, p.n)
 
     @given(st.integers(2, 120), st.integers(1, 6), st.integers(0, 12), st.data())
     @settings(max_examples=200, deadline=None)
@@ -402,17 +400,17 @@ class TestReduceWindow:
         # B up to 12 makes some windows longer than the register
         p = Params(r=r, m=r.bit_length(), ell=ell)
         j = data.draw(st.integers(0, p.two_n - 1))
-        assert reduce_window(j, B, p) == window_reference(j, B, p)
+        assert reduce_window(j, B, p.n) == window_reference(j, B, p)
 
     def test_every_window_of_small_registers(self):
         # every frequency and every B <= 3, wrapping windows included
         for n in range(3, 11):
             p = Params(r=3, m=2, ell=n - 2)
-            per_offset = [lagrange_reduce(o, p) for o in range(p.two_n)]
+            per_offset = [lagrange_reduce(o, p.n) for o in range(p.two_n)]
             for B in range(4):
                 for j in range(p.two_n):
                     want = [per_offset[(j + k) % p.two_n] for k in range(-B, B + 1)]
-                    assert reduce_window(j, B, p) == want, (n, B, j)
+                    assert reduce_window(j, B, p.n) == want, (n, B, j)
 
     @pytest.mark.parametrize("B", [1, 3, 10])
     def test_wrapping_windows(self, B):
@@ -420,7 +418,7 @@ class TestReduceWindow:
         for p in (Params(r=5, m=3, ell=4), Params(r=3, m=128, ell=128)):
             N = p.two_n
             for j in [*range(B + 1), *range(N - B - 1, N)]:
-                assert reduce_window(j, B, p) == window_reference(j, B, p), (N, j)
+                assert reduce_window(j, B, p.n) == window_reference(j, B, p), (N, j)
 
     def test_single_offset(self):
         # B = 0 is the first offset alone
@@ -428,7 +426,7 @@ class TestReduceWindow:
         for n in (3, 10, 93, 248, 256):
             p = Params(r=3, m=2, ell=n - 2)
             for j in (0, 1, p.two_n - 1, *(rng.randrange(p.two_n) for _ in range(20))):
-                assert reduce_window(j, 0, p) == [lagrange_reduce(j, p)], (n, j)
+                assert reduce_window(j, 0, p.n) == [lagrange_reduce(j, p.n)], (n, j)
 
     @pytest.mark.parametrize("ell", [120, 128])
     def test_matches_reference_at_large_registers(self, ell):
@@ -442,7 +440,7 @@ class TestReduceWindow:
                 j = peak(rng.randrange(r), p).j0 % p.two_n
             else:
                 j = rng.randrange(p.two_n)
-            assert reduce_window(j, 10, p) == window_reference(j, 10, p), (r, j)
+            assert reduce_window(j, 10, p.n) == window_reference(j, 10, p), (r, j)
 
 
 class TestWindowCandidates:
@@ -452,12 +450,12 @@ class TestWindowCandidates:
 
     @staticmethod
     def assert_union(j: int, B: int, p: Params) -> list[ReducedBasis]:
-        window = reduce_window(j, B, p)
-        got = window_candidates(p, window)
+        window = reduce_window(j, B, p.n)
+        got = window_candidates(window, p.m, p.ell)
         want, cases = set(), []
         for k in range(-B, B + 1):
             o = (j + k) % p.two_n
-            res = enumerate_candidates(o, p, lagrange_reduce(o, p))
+            res = enumerate_candidates(lagrange_reduce(o, p.n), p.m, p.ell)
             want.update(res.candidates)
             cases.append(res.case)
         assert set(got) == want, (p, B, j)
@@ -503,5 +501,5 @@ class TestWindowCandidates:
         rng = random.Random(27)
         for _ in range(20):
             r = rng.getrandbits(128) | (1 << 127) | 1
-            p = Params(r=r, m=128, ell=120, B=10)
+            p = Params(r=r, m=128, ell=120)
             self.assert_union(peak(rng.randrange(r), p).j0 % p.two_n, 10, p)

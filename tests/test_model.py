@@ -90,10 +90,6 @@ class TestParams:
             Params(r=16, m=4, ell=4)  # needs 2**m > r
         with pytest.raises(ValueError):
             Params(r=6, m=4, ell=0)
-        with pytest.raises(ValueError):
-            Params(r=6, m=4, ell=4, B=0)
-        with pytest.raises(ValueError):
-            Params(r=6, m=4, ell=1, B=3)  # r(2B+1) = 42 >= 32
 
     def test_derive_identities(self):
         for r in range(2, 64):

@@ -1,5 +1,6 @@
 """End-to-end runs, Monte Carlo reporting, and the factoring pipeline."""
 
+import inspect
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ from orderlab.pipeline import (
     wilson_interval,
 )
 from orderlab.pipeline import _carmichael_primes, _register_for_modulus, _split_with_order
-from orderlab.recovery import _RECOVERY, ExponentMeter, SmoothnessContext
+from orderlab.recovery import _RECOVERY, ExponentMeter, SmoothnessContext, solve_candidate_set
 from test_factorint import factor_op_moduli
 
 
@@ -46,10 +47,11 @@ def centre_out(B: int) -> list[int]:
     return [0] + [sign * k for k in range(1, B + 1) for sign in (1, -1)]
 
 
-def blind(group, j: int, params: Params, cfg: RunConfig):
-    """post_process at j with a fresh meter: (order, reason, bits metered)."""
+def blind(group, j: int, B: int, cfg: RunConfig):
+    """post_process of the window j-B..j+B with a fresh meter: (order,
+    reason, bits metered)."""
     meter = ExponentMeter()
-    order, reason = post_process(group, group.generator(), j, params, cfg, meter)
+    order, reason = post_process(group, group.generator(), j, B, cfg, meter)
     return order, reason, meter.total_bits
 
 
@@ -91,16 +93,15 @@ class TestRunOnce:
         # call time, once for the whole window
         calls = []
 
-        def counting(j, B, params):
-            calls.append((j, B))
-            return cf.solve_cf_window(j, B, params)
+        def counting(j, B, n):
+            calls.append((j, B, n))
+            return cf.solve_cf_window(j, B, n)
 
         monkeypatch.setattr(pipeline, "cf", types.SimpleNamespace(solve_cf_window=counting))
-        params = Params(r=210, m=8, ell=8, B=3)
         cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy="cf")
-        j = peak_frequency(5, params)
-        blind(SimulatedGroup(210), j, params, cfg)
-        assert calls == [(j, 3)]
+        j = peak_frequency(5, Params(r=210, m=8, ell=8))
+        blind(SimulatedGroup(210), j, 3, cfg)
+        assert calls == [(j, 3, 16)]
 
     def test_window_reduced_once_per_trial(self, monkeypatch):
         # the enumerate entry reduces the window through pipeline.lattice
@@ -108,57 +109,55 @@ class TestRunOnce:
         # enumerating an offset on its own
         reduced, taken, enumerated = [], [], []
 
-        def counting_reduce(j, B, params):
-            window = lattice.reduce_window(j, B, params)
-            reduced.append(((j, B), window))
+        def counting_reduce(j, B, n):
+            window = lattice.reduce_window(j, B, n)
+            reduced.append(((j, B, n), window))
             return window
 
-        def counting_candidates(params, window):
-            taken.append(window)
-            return lattice.window_candidates(params, window)
+        def counting_candidates(window, m, ell):
+            taken.append((window, m, ell))
+            return lattice.window_candidates(window, m, ell)
 
-        def counting_enumerate(j, params, rb):
-            enumerated.append(j)
-            return lattice.enumerate_candidates(j, params, rb)
+        def counting_enumerate(rb, m, ell):
+            enumerated.append(rb)
+            return lattice.enumerate_candidates(rb, m, ell)
 
         monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(
             reduce_window=counting_reduce,
             window_candidates=counting_candidates,
             enumerate_candidates=counting_enumerate,
         ))
-        params = Params(r=210, m=8, ell=6, B=3)
         cfg = RunConfig(m=8, ell=6, B=3, c=10.0, strategy="enumerate", delta=2)
-        j = peak_frequency(5, params)
-        blind(SimulatedGroup(210), j, params, cfg)
-        assert [call for call, _ in reduced] == [(j, 3)]
-        assert len(taken) == 1 and taken[0] is reduced[0][1]
+        j = peak_frequency(5, Params(r=210, m=8, ell=6))
+        blind(SimulatedGroup(210), j, 3, cfg)
+        assert [call for call, _ in reduced] == [(j, 3, 14)]
+        assert len(taken) == 1 and taken[0][0] is reduced[0][1] and taken[0][1:] == (8, 6)
         assert enumerated == []
 
     def test_cf_entry_permutes_the_window_centre_out(self):
         # solve_cf_window lists the offsets -B..B; the entry yields the same
         # solutions with k = 0, +1, -1, ..., +B, -B, also where the window
         # wraps past 0 or 2**n
-        p = Params(r=3, m=16, ell=16, B=4)
-        for j in (0, 2, 9, 1234, p.two_n - 3, p.two_n - 1):
-            per_offset = dict(zip(range(-p.B, p.B + 1), cf.solve_cf_window(j, p.B, p)))
-            got = STRATEGIES["cf"].candidates(j, p)
-            assert got == [per_offset[k] for k in centre_out(p.B)], j
+        B, m, ell = 4, 16, 16
+        for j in (0, 2, 9, 1234, (1 << (m + ell)) - 3, (1 << (m + ell)) - 1):
+            per_offset = dict(zip(range(-B, B + 1), cf.solve_cf_window(j, B, m + ell)))
+            got = STRATEGIES["cf"].candidates(j, B, m, ell)
+            assert got == [per_offset[k] for k in centre_out(B)], j
 
     def test_lattice_window_reduced_once_per_trial(self, monkeypatch):
         # the lattice entry reduces the window through pipeline.lattice once
         # and takes each offset's shortest vector, never solve_shortest
         calls = []
 
-        def counting(j, B, params):
-            calls.append((j, B))
-            return lattice.reduce_window(j, B, params)
+        def counting(j, B, n):
+            calls.append((j, B, n))
+            return lattice.reduce_window(j, B, n)
 
         monkeypatch.setattr(pipeline, "lattice", types.SimpleNamespace(reduce_window=counting))
-        params = Params(r=210, m=8, ell=8, B=3)
         cfg = RunConfig(m=8, ell=8, B=3, c=10.0, strategy="lattice")
-        j = peak_frequency(5, params)
-        blind(SimulatedGroup(210), j, params, cfg)
-        assert calls == [(j, 3)]
+        j = peak_frequency(5, Params(r=210, m=8, ell=8))
+        blind(SimulatedGroup(210), j, 3, cfg)
+        assert calls == [(j, 3, 16)]
 
     def test_tail_outcome(self):
         cfg = RunConfig(m=4, ell=4, B=1, c=10.0, t_max=1)
@@ -177,17 +176,16 @@ class TestRunOnce:
     def test_no_candidate_outcome(self):
         # at j=13 (r=13, m=4, ell=4) the shortest vectors of all three
         # window frequencies have doubled second coordinate >= 2**m
-        params = Params(r=13, m=4, ell=4, B=1)
         cfg = RunConfig(m=4, ell=4, B=1, c=10.0, strategy="lattice")
-        assert blind(SimulatedGroup(13), 13, params, cfg) == (None, "no_candidate", 0)
+        assert blind(SimulatedGroup(13), 13, 1, cfg) == (None, "no_candidate", 0)
 
     def test_unsmooth_outcome(self):
         # z = 29 gives candidate r~ = 2 whose cofactor 29 is not 6-smooth:
         # post_process finds no order, and run_once books that as unsmooth_d
-        params = Params(r=58, m=6, ell=6, B=1)
         cfg = RunConfig(m=6, ell=6, B=1, c=1.0)
         group = SimulatedGroup(58)
-        order, reason, bits = blind(group, peak_frequency(29, params), params, cfg)
+        j = peak_frequency(29, Params(r=58, m=6, ell=6))
+        order, reason, bits = blind(group, j, 1, cfg)
         assert (order, reason) == (None, None) and bits > 0
         for seed in range(1000):
             out = run_once(group, group.generator(), 58, cfg, Rng(seed))
@@ -195,7 +193,7 @@ class TestRunOnce:
                 break
         assert not out.success
         assert out.recovered is None
-        assert (None, None, out.exponent_bits) == blind(group, out.j, params, cfg)
+        assert (None, None, out.exponent_bits) == blind(group, out.j, 1, cfg)
 
     def test_smoothness_context_built_once_per_c_m(self, monkeypatch):
         import orderlab.pipeline as pipeline_mod
@@ -240,17 +238,44 @@ POST_GEOMETRIES = [(4, 4, (6, 12)), (5, 4, (12, 29, 30))]
 
 
 class TestPostProcess:
-    def test_blind_to_params_r(self):
-        # the same window, group and meter whatever order params claims
+    def test_one_table_for_every_order(self):
+        # each frequency's window candidates, built once per (m, ell,
+        # strategy) before any order is drawn, serve every order: post_process
+        # gives what solve_candidate_set gives on the table's window
         for m, ell, orders in POST_GEOMETRIES:
-            for r in orders:
-                group = SimulatedGroup(r)
-                for cfg in _all_pairs(m, ell):
-                    true = Params(r=r, m=m, ell=cfg.ell, B=2)
-                    fake = Params(r=3, m=m, ell=cfg.ell, B=2)
-                    for j in range(0, true.two_n, 4):
-                        assert blind(group, j, true, cfg) == blind(group, j, fake, cfg), (
-                            cfg, r, j)
+            assert len(orders) >= 2
+            ctx = SmoothnessContext.build(1.0, m)
+            tables = {}
+            for cfg in _all_pairs(m, ell):
+                key = (cfg.m, cfg.ell, cfg.strategy)
+                if key not in tables:
+                    tables[key] = [STRATEGIES[cfg.strategy].candidates(j, 2, cfg.m, cfg.ell)
+                                   for j in range(1 << (cfg.m + cfg.ell))]
+                for r in orders:
+                    group = SimulatedGroup(r)
+                    for j, candidates in enumerate(tables[key]):
+                        meter = ExponentMeter()
+                        if any(1 <= cand < 1 << m for cand in candidates):
+                            order = solve_candidate_set(group, group.generator(), candidates, ctx,
+                                                        algorithm=cfg.recovery, meter=meter)
+                            want = (order, None)
+                        else:
+                            want = (None, "no_candidate")
+                        assert blind(group, j, 2, cfg) == (*want, meter.total_bits), (cfg, r, j)
+            assert len(tables) == len(STRATEGIES)
+
+    def test_blind_half_takes_no_order(self):
+        # no function of cf or lattice, no strategy and not post_process
+        # takes a Params or a parameter named params
+        funcs = [fn for module in (cf, lattice)
+                 for _, fn in inspect.getmembers(module, inspect.isfunction)
+                 if fn.__module__ == module.__name__]
+        funcs += [strategy.candidates for strategy in STRATEGIES.values()] + [post_process]
+        assert {cf.solve_cf, lattice.lagrange_reduce, lattice.enumerate_candidates} <= set(funcs)
+        for fn in funcs:
+            for name, param in inspect.signature(fn).parameters.items():
+                assert name != "params", (fn, name)
+                assert "Params" not in str(param.annotation), (fn, name)
 
     def test_success_is_per_candidate(self):
         # post_process finds r at j exactly when one in-range window
@@ -262,12 +287,11 @@ class TestPostProcess:
                 group = SimulatedGroup(r)
                 g = group.generator()
                 for cfg in _all_pairs(m, ell):
-                    params = Params(r=r, m=m, ell=cfg.ell, B=2)
                     recover = _RECOVERY[cfg.recovery]
-                    for j in range(params.two_n):
-                        order, reason, _ = blind(group, j, params, cfg)
+                    for j in range(1 << (m + cfg.ell)):
+                        order, reason, _ = blind(group, j, 2, cfg)
                         assert reason in (None, "no_candidate")
-                        candidates = STRATEGIES[cfg.strategy].candidates(j, params)
+                        candidates = STRATEGIES[cfg.strategy].candidates(j, 2, m, cfg.ell)
                         hit = any(
                             recover(group, g, cand, ctx) == r
                             for cand in candidates if 1 <= cand < 1 << m
@@ -282,10 +306,10 @@ class TestLatticeStrategy:
     from one reduction of the window."""
 
     @staticmethod
-    def assert_per_offset(j: int, params: Params):
-        got = list(STRATEGIES["lattice"].candidates(j, params))
-        window = [(j + k) % params.two_n for k in centre_out(params.B)]
-        assert got == [lattice.solve_shortest(o, params) for o in window], j
+    def assert_per_offset(j: int, B: int, m: int, ell: int):
+        got = list(STRATEGIES["lattice"].candidates(j, B, m, ell))
+        window = [(j + k) % (1 << (m + ell)) for k in centre_out(B)]
+        assert got == [lattice.solve_shortest(o, m + ell) for o in window], j
 
     @given(st.integers(2, 300), st.integers(0, 3), st.integers(1, 4), st.data())
     @settings(max_examples=300, deadline=None)
@@ -294,19 +318,17 @@ class TestLatticeStrategy:
         ell = data.draw(st.integers(1, m))
         B = min(B, ((1 << (m + ell)) - r) // (2 * r))  # run_once's clamp
         assume(B >= 1)
-        p = Params(r=r, m=m, ell=ell, B=B)
-        self.assert_per_offset(data.draw(st.integers(0, p.two_n - 1)), p)
+        self.assert_per_offset(data.draw(st.integers(0, (1 << (m + ell)) - 1)), B, m, ell)
 
     def test_near_peaks_at_128_bits(self):
         rnd = random.Random(20222)
         for _ in range(20):
             r = rnd.getrandbits(128) | (1 << 127)
-            p = Params(r=r, m=128, ell=128, B=10)
-            self.assert_per_offset(peak(rnd.randrange(r), p).j0 % p.two_n, p)
+            p = Params(r=r, m=128, ell=128)
+            self.assert_per_offset(peak(rnd.randrange(r), p).j0 % p.two_n, 10, 128, 128)
         # windows that wrap past 0 and 2**n
-        p = Params(r=3, m=128, ell=128, B=10)
-        for j in (0, 5, p.two_n - 3):
-            self.assert_per_offset(j, p)
+        for j in (0, 5, (1 << 256) - 3):
+            self.assert_per_offset(j, 10, 128, 128)
 
 
 class TestWilson:

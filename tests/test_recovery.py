@@ -755,9 +755,9 @@ class TestBlockCertificate:
         rng = random.Random(29)
         for _ in range(20):
             r = rng.getrandbits(128) | (1 << 127) | 1
-            p = Params(r=r, m=128, ell=120, B=10)
+            p = Params(r=r, m=128, ell=120)
             j = peak(rng.randrange(r), p).j0 % p.two_n
-            candidates = window_candidates(p, reduce_window(j, 10, p))
+            candidates = window_candidates(reduce_window(j, 10, p.n), p.m, p.ell)
             counts = []
             for filt in (filter_candidates, reference_filter_candidates):
                 group = CountingGroup(r)
